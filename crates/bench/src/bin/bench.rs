@@ -67,7 +67,7 @@ fn load_reports(root: &Path, extra: &[String]) -> Vec<(String, BTreeMap<String, 
             eprintln!("bench: skipping {} (not readable)", path.display());
             continue;
         };
-        match ledger::parse(&text) {
+        match serde_json::from_str::<serde_json::Value>(&text) {
             Ok(json) => out.push((bench, ledger::flatten(&json))),
             Err(e) => eprintln!("bench: skipping {}: {e}", path.display()),
         }

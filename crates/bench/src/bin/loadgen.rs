@@ -7,9 +7,9 @@
 //!    answer against the single-threaded oracle. Any bit difference aborts
 //!    the benchmark: numbers for a wrong server are worthless.
 //! 2. **load** — mixed recommend/ingest streams from N client threads.
-//!    Latency percentiles come from the `serve.request` span histogram,
-//!    batch sizes from the `serve.batch.size` value histogram — the same
-//!    telemetry a production `--metrics-out` sink would see. The shadow-
+//!    Latency percentiles come from the `serve.request` span histogram —
+//!    the same telemetry a production `--metrics-out` sink would see.
+//!    Each request is scored on its client's thread. The shadow-
 //!    oracle auditor runs at its default 1-in-32 sampling throughout; the
 //!    queue is drained at shutdown and the report asserts every audited
 //!    answer matched the exact re-rank (FullSort + f32 serving must audit
@@ -107,8 +107,6 @@ struct Report {
     rebuilds: u64,
     cache_hits: u64,
     cache_hit_rate: f64,
-    batches: u64,
-    mean_batch_size: f64,
     qps: f64,
     latency_ms: LatencyMs,
     /// Trailing-window percentiles captured right as the load ended
@@ -121,7 +119,7 @@ struct Report {
     /// Requests served by the post-load steady-state allocation probe.
     alloc_probe_requests: u64,
     /// Per-scope allocation counts over the probe (buffers warm, tracking
-    /// on). `engine.score`, `engine.rank`, and `batcher.flush` must read 0.
+    /// on). `engine.score` and `engine.rank` must read 0.
     steady_state_allocs: Vec<ScopeAllocs>,
     /// Probe allocations in the zero-alloc-by-contract scopes, per request.
     hot_scope_allocs_per_request: f64,
@@ -329,26 +327,36 @@ fn main() {
     );
     http.shutdown();
 
-    // Steady-state allocation probe: the load phase warmed every per-thread
-    // scratch buffer and metric cell, so a further burst with the
-    // instrumented allocator tracking must attribute **zero** allocations
-    // to the `engine.score` / `engine.rank` / `batcher.flush` scopes.
+    // Steady-state allocation probe. Requests are scored on their caller's
+    // thread, so each probe client first sends its request sequence once
+    // untracked, warming its own scratch buffers; the tracked repeat must
+    // then attribute **zero** allocations to the `engine.score` /
+    // `engine.rank` scopes. The barrier brackets the counter reset.
     let probe_per_client: u64 = if quick { 50 } else { 500 };
     let alloc_probe_requests = probe_per_client * clients as u64;
-    inbox_obs::set_alloc_tracking(true);
-    inbox_obs::reset_alloc_stats();
+    let warmed = std::sync::Barrier::new(clients + 1);
     std::thread::scope(|s| {
         for t in 0..clients as u32 {
-            let service = &service;
+            let (service, warmed) = (&service, &warmed);
             s.spawn(move || {
-                for i in 0..probe_per_client as u32 {
-                    let user = UserId((i * 17 + t * 53) % n_users);
-                    service
-                        .recommend(user, k)
-                        .expect("probe traffic is far below the admission bound");
-                }
+                let sweep = || {
+                    for i in 0..probe_per_client as u32 {
+                        let user = UserId((i * 17 + t * 53) % n_users);
+                        service
+                            .recommend(user, k)
+                            .expect("probe traffic is far below the admission bound");
+                    }
+                };
+                sweep();
+                warmed.wait();
+                warmed.wait();
+                sweep();
             });
         }
+        warmed.wait();
+        inbox_obs::set_alloc_tracking(true);
+        inbox_obs::reset_alloc_stats();
+        warmed.wait();
     });
     inbox_obs::set_alloc_tracking(false);
     // Shutdown drains the audit queue through the shadow oracle, so the
@@ -402,18 +410,12 @@ fn main() {
         .collect();
     let hot_allocs: u64 = steady_state_allocs
         .iter()
-        .filter(|s| {
-            matches!(
-                s.scope.as_str(),
-                "engine.score" | "engine.rank" | "batcher.flush"
-            )
-        })
+        .filter(|s| matches!(s.scope.as_str(), "engine.score" | "engine.rank"))
         .map(|s| s.allocs)
         .sum();
     let hot_scope_allocs_per_request = hot_allocs as f64 / alloc_probe_requests as f64;
 
     let latency = inbox_obs::span_snapshot("serve.request").expect("span recorded under load");
-    let batch = inbox_obs::value_snapshot("serve.batch.size").expect("batches were flushed");
     let ns_to_ms = |ns: u64| ns as f64 / 1e6;
     let lookups = stats.rebuilds + stats.cache_hits;
     let report = Report {
@@ -432,12 +434,6 @@ fn main() {
             0.0
         } else {
             stats.cache_hits as f64 / lookups as f64
-        },
-        batches: stats.batches,
-        mean_batch_size: if batch.count == 0 {
-            0.0
-        } else {
-            batch.sum as f64 / batch.count as f64
         },
         qps: stats.requests as f64 / elapsed,
         latency_ms: LatencyMs {
@@ -471,12 +467,10 @@ fn main() {
         report.latency_ms.mean, report.latency_ms.p50, report.latency_ms.p95, report.latency_ms.p99
     );
     println!(
-        "cache hit rate {:.1}% ({} hits / {} rebuilds), {} batches, mean batch {:.2}",
+        "cache hit rate {:.1}% ({} hits / {} rebuilds)",
         report.cache_hit_rate * 100.0,
         report.cache_hits,
-        report.rebuilds,
-        report.batches,
-        report.mean_batch_size
+        report.rebuilds
     );
     if let Some(w) = &report.windowed_latency_ms {
         println!(

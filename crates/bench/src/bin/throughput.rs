@@ -302,11 +302,12 @@ fn measure_indexed(
                 gamma: scorer.gamma(),
                 bound_slack: 0.0,
             };
-            let stats = index.query(
+            index.select_probes(&q, nprobe, &mut qscratch);
+            let stats = index.rerank_refined(
                 &q,
-                nprobe,
                 k,
                 &[],
+                |i| scorer.score_item_prepared(b, &score_scratch, i),
                 |i| scorer.score_item_prepared(b, &score_scratch, i),
                 &mut qscratch,
                 &mut ranked,

@@ -7,225 +7,24 @@
 //! report-schema evolution — a renamed field simply stops matching instead
 //! of breaking the parser. Entries land in `BENCH_LEDGER.jsonl`, one JSON
 //! object per line, stamped with the git revision the run was built from.
-//!
-//! The workspace's vendored `serde_json` deliberately exposes no generic
-//! `Value` type, so this module carries its own minimal JSON reader —
-//! ~everything the ledger needs and nothing more.
+//! Reports and ledger lines are read through the vendored
+//! `serde_json::Value`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value (minimal: no number precision games, objects keep
-/// insertion order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, read as `f64`.
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks a key up in an object; `None` for non-objects/missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, when it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, when it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document. Errors carry a byte offset for context.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut at = 0usize;
-    let value = parse_value(bytes, &mut at)?;
-    skip_ws(bytes, &mut at);
-    if at != bytes.len() {
-        return Err(format!("trailing bytes at offset {at}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], at: &mut usize) {
-    while *at < b.len() && matches!(b[*at], b' ' | b'\t' | b'\n' | b'\r') {
-        *at += 1;
-    }
-}
-
-fn expect(b: &[u8], at: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, at);
-    if b.get(*at) == Some(&c) {
-        *at += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at offset {at}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
-    skip_ws(b, at);
-    match b.get(*at) {
-        Some(b'{') => parse_object(b, at),
-        Some(b'[') => parse_array(b, at),
-        Some(b'"') => Ok(Json::Str(parse_string(b, at)?)),
-        Some(b't') => parse_lit(b, at, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, at, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, at, "null", Json::Null),
-        Some(_) => parse_number(b, at),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], at: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*at..].starts_with(lit.as_bytes()) {
-        *at += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at offset {at}"))
-    }
-}
-
-fn parse_number(b: &[u8], at: &mut usize) -> Result<Json, String> {
-    let start = *at;
-    while *at < b.len() && matches!(b[*at], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *at += 1;
-    }
-    std::str::from_utf8(&b[start..*at])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
-}
-
-fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
-    expect(b, at, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*at) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *at += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *at += 1;
-                match b.get(*at) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*at + 1..*at + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at offset {at}"))?;
-                        // Surrogate pairs are not worth supporting here.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *at += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {at}")),
-                }
-                *at += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are trustworthy).
-                let rest = std::str::from_utf8(&b[*at..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *at += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(b: &[u8], at: &mut usize) -> Result<Json, String> {
-    expect(b, at, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, at);
-    if b.get(*at) == Some(&b']') {
-        *at += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, at)?);
-        skip_ws(b, at);
-        match b.get(*at) {
-            Some(b',') => *at += 1,
-            Some(b']') => {
-                *at += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {at}")),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], at: &mut usize) -> Result<Json, String> {
-    expect(b, at, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(b, at);
-    if b.get(*at) == Some(&b'}') {
-        *at += 1;
-        return Ok(Json::Obj(pairs));
-    }
-    loop {
-        skip_ws(b, at);
-        let key = parse_string(b, at)?;
-        expect(b, at, b':')?;
-        pairs.push((key, parse_value(b, at)?));
-        skip_ws(b, at);
-        match b.get(*at) {
-            Some(b',') => *at += 1,
-            Some(b'}') => {
-                *at += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {at}")),
-        }
-    }
-}
+use serde_json::Value;
 
 /// Flattens every finite numeric leaf into `dotted.path → value`. Array
 /// elements get numeric segments (`stage3_recalls.0`); booleans, strings,
 /// and nulls are skipped — the ledger tracks measurements, not metadata.
-pub fn flatten(json: &Json) -> BTreeMap<String, f64> {
+pub fn flatten(json: &Value) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     walk(json, String::new(), &mut out);
     out
 }
 
-fn walk(json: &Json, path: String, out: &mut BTreeMap<String, f64>) {
+fn walk(json: &Value, path: String, out: &mut BTreeMap<String, f64>) {
     let join = |path: &str, seg: &str| {
         if path.is_empty() {
             seg.to_string()
@@ -234,15 +33,15 @@ fn walk(json: &Json, path: String, out: &mut BTreeMap<String, f64>) {
         }
     };
     match json {
-        Json::Num(n) if n.is_finite() => {
-            out.insert(path, *n);
+        Value::Number(n) if n.as_f64().is_finite() => {
+            out.insert(path, n.as_f64());
         }
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
+        Value::Object(pairs) => {
+            for (k, v) in pairs.iter() {
                 walk(v, join(&path, k), out);
             }
         }
-        Json::Arr(items) => {
+        Value::Array(items) => {
             for (i, v) in items.iter().enumerate() {
                 walk(v, join(&path, &i.to_string()), out);
             }
@@ -349,9 +148,10 @@ pub fn format_entry(e: &LedgerEntry) -> String {
 
 /// Parses one JSONL ledger line back into an entry.
 pub fn parse_entry(line: &str) -> Result<LedgerEntry, String> {
-    let json = parse(line)?;
-    let field = |k: &str| -> Result<&Json, String> {
-        json.get(k)
+    let json: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let field = |k: &str| -> Result<&Value, String> {
+        json.as_object()
+            .and_then(|o| o.get(k))
             .ok_or_else(|| format!("ledger line missing {k:?}"))
     };
     let strf = |k: &str| -> Result<String, String> {
@@ -361,13 +161,13 @@ pub fn parse_entry(line: &str) -> Result<LedgerEntry, String> {
             .ok_or_else(|| format!("{k:?} is not a string"))
     };
     let metrics = match field("metrics")? {
-        obj @ Json::Obj(_) => flatten(obj),
+        obj @ Value::Object(_) => flatten(obj),
         _ => return Err("\"metrics\" is not an object".into()),
     };
     Ok(LedgerEntry {
         rev: strf("rev")?,
         bench: strf("bench")?,
-        unix_secs: field("unix_secs")?.as_num().unwrap_or(0.0) as u64,
+        unix_secs: field("unix_secs")?.as_f64().unwrap_or(0.0) as u64,
         note: strf("note")?,
         metrics,
     })
@@ -433,12 +233,17 @@ pub fn compare(
 mod tests {
     use super::*;
 
+    fn parse(text: &str) -> serde_json::Result<Value> {
+        serde_json::from_str(text)
+    }
+
     #[test]
     fn parses_nested_documents() {
         let j = parse(r#"{"a": [1, 2.5, {"b": -3e2}], "s": "x\"y", "t": true, "n": null}"#)
             .expect("parses");
-        assert_eq!(j.get("s").and_then(Json::as_str), Some("x\"y"));
-        assert_eq!(j.get("t"), Some(&Json::Bool(true)));
+        let obj = j.as_object().expect("an object");
+        assert_eq!(obj.get("s").and_then(Value::as_str), Some("x\"y"));
+        assert_eq!(obj.get("t"), Some(&Value::Bool(true)));
         let flat = flatten(&j);
         assert_eq!(flat.get("a.0"), Some(&1.0));
         assert_eq!(flat.get("a.1"), Some(&2.5));

@@ -28,8 +28,7 @@ USAGE:
   inbox recommend --model MODEL.json (--preset P | --data DIR) --user U
                   [--k 10] [--explain]
   inbox serve     --model MODEL.json (--preset P | --data DIR)
-                  [--addr 127.0.0.1:7878] [--batch-max 32] [--batch-wait-us 500]
-                  [--queue-cap 1024] [--cache-cap 100000] [--threads 1]
+                  [--addr 127.0.0.1:7878] [--queue-cap 1024] [--cache-cap 100000]
                   [--slo-ms 50] [--trace-slow-ms 250] [--trace-sample 1]
                   [--index full|ivf] [--nlist 0] [--nprobe 0] (0 = auto)
                   [--quantize none|int8] [--smoke]
@@ -358,11 +357,8 @@ pub fn serve_config_from_flags(parsed: &Parsed) -> Result<ServeConfig, Box<dyn E
         audit_sample: parsed.get_parsed("audit-sample", defaults.audit_sample)?,
         audit_queue_cap: parsed.get_parsed("audit-queue-cap", defaults.audit_queue_cap)?,
         audit_floor,
-        max_batch: parsed.get_parsed("batch-max", defaults.max_batch)?,
-        batch_wait: std::time::Duration::from_micros(parsed.get_parsed("batch-wait-us", 500u64)?),
         queue_cap: parsed.get_parsed("queue-cap", defaults.queue_cap)?,
         cache_cap: parsed.get_parsed("cache-cap", defaults.cache_cap)?,
-        threads: parsed.get_parsed("threads", defaults.threads)?,
         slo_objective: std::time::Duration::from_millis(
             parsed.get_parsed("slo-ms", defaults.slo_objective.as_millis() as u64)?,
         ),
@@ -414,14 +410,11 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
         .map_err(|e| format!("cannot bind --addr {addr}: {e}"))?;
     if chatty() {
         println!(
-            "serving {} on http://{} (batch {} / {}us, queue {}, cache {}, threads {}, index {}, quantize {})",
+            "serving {} on http://{} (in-flight cap {}, cache {}, index {}, quantize {})",
             ds.name,
             http.local_addr(),
-            serve_cfg.max_batch,
-            serve_cfg.batch_wait.as_micros(),
             serve_cfg.queue_cap,
             serve_cfg.cache_cap,
-            serve_cfg.threads,
             match service.engine().index_active() {
                 Some((nlist, nprobe)) => format!("ivf(nlist={nlist},nprobe={nprobe})"),
                 None => "full".to_string(),
@@ -839,16 +832,10 @@ mod tests {
     fn serve_config_flags_respected() {
         let p = parsed(&[
             "serve",
-            "--batch-max",
-            "8",
-            "--batch-wait-us",
-            "250",
             "--queue-cap",
             "64",
             "--cache-cap",
             "1000",
-            "--threads",
-            "2",
             "--slo-ms",
             "20",
             "--trace-slow-ms",
@@ -867,11 +854,8 @@ mod tests {
             "0.97",
         ]);
         let cfg = serve_config_from_flags(&p).unwrap();
-        assert_eq!(cfg.max_batch, 8);
-        assert_eq!(cfg.batch_wait, std::time::Duration::from_micros(250));
         assert_eq!(cfg.queue_cap, 64);
         assert_eq!(cfg.cache_cap, 1000);
-        assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.slo_objective, std::time::Duration::from_millis(20));
         assert_eq!(cfg.trace_slow, std::time::Duration::from_millis(100));
         assert_eq!(
@@ -886,7 +870,7 @@ mod tests {
         assert_eq!(cfg.audit_floor, Some(0.97));
         // Defaults hold when flags are absent.
         let d = serve_config_from_flags(&parsed(&["serve"])).unwrap();
-        assert_eq!(d.max_batch, inbox_serve::ServeConfig::default().max_batch);
+        assert_eq!(d.queue_cap, inbox_serve::ServeConfig::default().queue_cap);
         assert_eq!(
             d.slo_objective,
             inbox_serve::ServeConfig::default().slo_objective
@@ -920,7 +904,7 @@ inbox_value_window{name=\"serve.queue.depth\",window=\"10s\",quantile=\"0.99\"} 
 inbox_slo_burn_rate{name=\"serve.recommend\",window=\"60s\"} 1.25
 inbox_alloc_window{window=\"10s\"} 420
 inbox_counter_total{name=\"lock.engine.cache.contended\"} 3
-inbox_counter_total{name=\"lock.batcher.queue.contended\"} 17
+inbox_counter_total{name=\"lock.engine.live.contended\"} 17
 inbox_audit_sampled_total 9
 inbox_audit_audited_total 8
 inbox_audit_recall{window=\"60s\"} 0.95
@@ -935,7 +919,7 @@ inbox_audit_drift{stat=\"psi.score\"} 0.042
         assert!(line.contains("shed/s   2.00"), "{line}");
         assert!(line.contains("burn60  1.25"), "{line}");
         assert!(line.contains("alloc/s     42.0"), "{line}");
-        assert!(line.contains("hot lock batcher.queue(17)"), "{line}");
+        assert!(line.contains("hot lock engine.live(17)"), "{line}");
         assert!(line.contains("audit 8/9"), "{line}");
         assert!(line.contains("bl   2"), "{line}");
         assert!(line.contains("rec60 0.95 DEGRADED"), "{line}");

@@ -9,8 +9,7 @@
 //! inbox evaluate  --model model.json (--preset P | --data DIR) [--k 20]
 //! inbox recommend --model model.json (--preset P | --data DIR) --user 3 [--k 10] [--explain]
 //! inbox serve     --model model.json (--preset P | --data DIR) [--addr HOST:PORT]
-//!                 [--batch-max 32] [--batch-wait-us 500] [--queue-cap 1024]
-//!                 [--cache-cap 100000] [--threads 1] [--slo-ms 50]
+//!                 [--queue-cap 1024] [--cache-cap 100000] [--slo-ms 50]
 //!                 [--trace-slow-ms 250] [--smoke]
 //! inbox obs       [--addr HOST:PORT] [--interval-ms 1000] [--iters 0]
 //! inbox profile   [--addr HOST:PORT] [--out FILE]

@@ -15,15 +15,16 @@
 //!    ordered by the exact box-to-centroid distance (outside + weighted
 //!    inside term, identical shape to the item score) and the `nprobe`
 //!    nearest are kept.
-//! 3. **Box pruning + exact re-rank** ([`IvfIndex::rerank`]): probed
-//!    partitions are visited nearest-first. Once the running top-k is
-//!    full, a partition whose bounding rectangle provably cannot contain
-//!    an item beating the current k-th best score is skipped whole; every
-//!    surviving partition's members are scored **exactly** through a
-//!    caller-supplied scorer (production passes
-//!    `ItemScorer::score_item_prepared`, the very arithmetic of the full
-//!    sort), maintaining a masked top-k heap with the evaluation
-//!    protocol's tie-breaking (score descending, then smaller item id).
+//! 3. **Box pruning + exact re-rank** ([`IvfIndex::rerank_refined`]):
+//!    probed partitions are visited nearest-first. Once the running top-k
+//!    is full, a partition whose bounding rectangle provably cannot
+//!    contain an item beating the current k-th best score is skipped
+//!    whole; every surviving partition's members are scored through a
+//!    caller-supplied coarse scorer, and the near-threshold survivors are
+//!    re-scored **exactly** (production passes
+//!    `ItemScorer::score_item_prepared_f32`, the very arithmetic of the
+//!    full sort) into a masked top-k with the evaluation protocol's
+//!    tie-breaking (score descending, then smaller item id).
 //!
 //! Because candidate scores and the selection comparator are bit-identical
 //! to the full sort, the served answer is **byte-identical to the full
@@ -216,8 +217,8 @@ impl PartialOrd for Cand {
 }
 
 /// Reusable per-thread buffers for [`IvfIndex::select_probes`] /
-/// [`IvfIndex::rerank`]: after one warm query, the whole probe → prune →
-/// re-rank pipeline is allocation-free.
+/// [`IvfIndex::rerank_refined`]: after one warm query, the whole probe →
+/// prune → re-rank pipeline is allocation-free.
 #[derive(Default)]
 pub struct QueryScratch {
     /// `(rect min-distance, centroid distance, partition)` rows, sorted
@@ -239,7 +240,7 @@ impl QueryScratch {
     }
 }
 
-/// What one [`IvfIndex::rerank`] did, for telemetry and contracts.
+/// What one [`IvfIndex::rerank_refined`] did, for telemetry and contracts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RerankStats {
     /// Probed partitions whose members were actually scored.
@@ -478,84 +479,32 @@ impl IvfIndex {
         scratch.probes.truncate(nprobe.max(1).min(nlist));
     }
 
-    /// Stage 2 — box pruning + exact re-rank over the probed partitions:
-    /// visits `scratch`'s probe list nearest-first, skips partitions whose
-    /// rectangle bound cannot beat the current k-th best score (minus
-    /// [`PRUNE_SLACK`] and the query's `bound_slack`), and scores every
-    /// remaining member through
-    /// `score` (exact, caller-supplied) into a masked top-k. `mask` must
-    /// be sorted ascending. The result lands in `out` best-first with the
-    /// evaluation protocol's tie-breaking; the returned stats feed the
-    /// candidate-set telemetry.
-    pub fn rerank(
-        &self,
-        q: &BoxQuery<'_>,
-        k: usize,
-        mask: &[ItemId],
-        mut score: impl FnMut(u32) -> f32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<(ItemId, f32)>,
-    ) -> RerankStats {
-        let mut stats = RerankStats::default();
-        let mut entries = std::mem::take(&mut scratch.heap);
-        entries.clear();
-        entries.reserve(k + 1);
-        let mut heap: BinaryHeap<Cand> = BinaryHeap::from(entries);
-        for i in 0..scratch.probes.len() {
-            let c = scratch.probes[i].2 as usize;
-            if heap.len() == k {
-                // `peek` is the worst kept candidate — the k-th best.
-                let kth = heap.peek().map(|e| e.score as f64).unwrap_or(f64::MIN);
-                if self.rect_score_bound(q, c) < kth - PRUNE_SLACK - q.bound_slack as f64 {
-                    stats.pruned_partitions += 1;
-                    continue;
-                }
-            }
-            stats.scanned_partitions += 1;
-            for &item in self.members(c) {
-                if mask.binary_search(&ItemId(item)).is_ok() {
-                    continue;
-                }
-                stats.candidates += 1;
-                heap.push(Cand {
-                    score: score(item),
-                    item,
-                });
-                if heap.len() > k {
-                    heap.pop();
-                }
-            }
-        }
-        let mut entries = heap.into_vec();
-        entries.sort_unstable_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.item.cmp(&b.item))
-        });
-        out.clear();
-        out.extend(entries.iter().map(|e| (ItemId(e.item), e.score)));
-        entries.clear();
-        scratch.heap = entries;
-        stats
-    }
-
-    /// [`rerank`](Self::rerank) for **bounded-error** (quantized) coarse
-    /// scoring: `coarse` may sit up to `q.bound_slack` away from the true
-    /// f32 score, `exact` is the f32 scorer. The probe/prune walk runs on
-    /// coarse scores exactly like `rerank`; every scored candidate within
-    /// `2·bound_slack` of the *running* k-th coarse score is buffered, the
-    /// buffer is narrowed to the *final* k-th threshold, and the survivors
-    /// are re-scored through `exact` into the final top-k.
+    /// Stage 2 — box pruning + exact re-rank over the probed partitions.
+    /// Visits `scratch`'s probe list nearest-first, skips partitions whose
+    /// rectangle bound cannot beat the current k-th best `coarse` score
+    /// (minus [`PRUNE_SLACK`] and the query's `bound_slack`), and scores
+    /// every remaining unmasked member with `coarse`. Every candidate
+    /// within `2·bound_slack` of the *running* k-th coarse score is
+    /// buffered, the buffer is narrowed to the *final* k-th threshold, and
+    /// the survivors are re-scored through `exact` into the final top-k,
+    /// best-first with the evaluation protocol's tie-break (score
+    /// descending, item id ascending). `mask` must be sorted ascending; the
+    /// returned stats feed the candidate-set telemetry.
+    ///
+    /// `coarse` may sit up to `q.bound_slack` away from `exact` (the int8
+    /// kernel against the f32 one). For exact scoring pass the same scorer
+    /// twice with `bound_slack = 0`: the buffer then holds every candidate
+    /// scoring at least the final k-th, so the answer is the exact top-k of
+    /// the scanned partitions.
     ///
     /// Soundness: for any scanned item `i` in the exact top-k of the
     /// scanned set, `coarse_i ≥ exact_i − slack ≥ exact_kth − slack ≥
     /// coarse_kth_final − 2·slack ≥ coarse_kth_at_scoring_time − 2·slack`
     /// (the running k-th only increases), so `i` is always buffered and
-    /// survives the final narrowing — the answer equals `rerank` with
-    /// `exact`, byte for byte, over the same scanned partitions. Partition
-    /// pruning already widens by `q.bound_slack`, which keeps it
-    /// conservative against the f32 geometry the rectangles describe.
+    /// survives the final narrowing — the answer equals an exact top-k
+    /// over the same scanned partitions, byte for byte. Partition pruning
+    /// already widens by `q.bound_slack`, which keeps it conservative
+    /// against the f32 geometry the rectangles describe.
     #[allow(clippy::too_many_arguments)]
     pub fn rerank_refined(
         &self,
@@ -628,23 +577,6 @@ impl IvfIndex {
         entries.clear();
         scratch.heap = entries;
         stats
-    }
-
-    /// Convenience single-call query (tests and offline tools; the engine
-    /// calls the two stages separately to attribute them to spans).
-    #[allow(clippy::too_many_arguments)]
-    pub fn query(
-        &self,
-        q: &BoxQuery<'_>,
-        nprobe: usize,
-        k: usize,
-        mask: &[ItemId],
-        score: impl FnMut(u32) -> f32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<(ItemId, f32)>,
-    ) -> RerankStats {
-        self.select_probes(q, nprobe, scratch);
-        self.rerank(q, k, mask, score, scratch, out)
     }
 }
 
@@ -880,11 +812,12 @@ mod tests {
                 .collect();
             let k = 20;
             let expected = full_sort(&items, dim, &q, &mask, k);
-            let stats = ix.query(
+            ix.select_probes(&q, ix.nlist(), &mut scratch);
+            let stats = ix.rerank_refined(
                 &q,
-                ix.nlist(),
                 k,
                 &mask,
+                |i| exact_score(&items, dim, i, &q),
                 |i| exact_score(&items, dim, i, &q),
                 &mut scratch,
                 &mut out,
@@ -986,11 +919,12 @@ mod tests {
         };
         let mut scratch = QueryScratch::default();
         let mut out = Vec::new();
-        let stats = ix.query(
+        ix.select_probes(&q, ix.nlist(), &mut scratch);
+        let stats = ix.rerank_refined(
             &q,
-            ix.nlist(),
             5,
             &[],
+            |i| exact_score(&items, dim, i, &q),
             |i| exact_score(&items, dim, i, &q),
             &mut scratch,
             &mut out,

@@ -8,7 +8,7 @@
 //! - **Counters** ([`counter`]) — lock-free named event counts for hot paths
 //!   (sampled triplets, gradient batches, box intersections, ranked users).
 //! - **Value histograms** ([`record_value`]) — dimensionless sample
-//!   distributions (serve batch sizes, queue depths) sharing the spans'
+//!   distributions (in-flight depths, candidate-set sizes) sharing the spans'
 //!   log-scale aggregation but kept in their own namespace.
 //! - **Telemetry** ([`telemetry`]) — structured [`EpochRecord`] events fanned
 //!   out to pluggable sinks: console (leveled), JSONL file, in-memory capture.

@@ -2,8 +2,8 @@
 //! [`std::sync::RwLock`] that record wait-time and hold-time histograms
 //! plus a contention counter per lock.
 //!
-//! The serving stack guards its shared state with exactly two locks (the
-//! engine's live state and the batcher's admission queue); whether those
+//! The serving stack guards its shared state with a few named locks (the
+//! engine's live state and box cache, the audit queue); whether those
 //! locks are contended at target load is the measurement that decides the
 //! ROADMAP's shard count. An [`ObsMutex`] / [`ObsRwLock`] keeps the std
 //! semantics — poisoning included, so existing `.lock().unwrap()` and

@@ -543,7 +543,7 @@ mod tests {
                 value: 320,
             }],
             values: vec![ValueSummary {
-                name: "serve.batch.size".into(),
+                name: "serve.queue.depth".into(),
                 count: 12,
                 mean: 6,
                 p50: 6,

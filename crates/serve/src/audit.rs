@@ -1,6 +1,6 @@
 //! Shadow-oracle audit sampler: online ranking-quality verification.
 //!
-//! The batcher hands every answered `/recommend` to [`Auditor::maybe_sample`];
+//! The service hands every answered `/recommend` to [`Auditor::maybe_sample`];
 //! 1-in-N of them (by a global atomic tick) are copied into a **bounded,
 //! shed-don't-block** queue drained by one background worker. The worker
 //! re-ranks each sampled `(user, history-version)` request through
@@ -14,7 +14,7 @@
 //!
 //! The serving hot path is never touched: sampling is one relaxed atomic
 //! increment plus (for the 1-in-N winners) one answer clone outside the
-//! batcher's allocation-checked scopes, and [`Auditor::offer`] drops the
+//! engine's allocation-checked scopes, and [`Auditor::offer`] drops the
 //! sample ([`inbox_obs::note_audit_shed`]) instead of blocking when the
 //! queue is at capacity. An audit worker that stalls or dies changes
 //! nothing about served answers.
@@ -68,7 +68,7 @@ struct Shared {
 }
 
 /// The background quality auditor. One per [`Service`](crate::Service)
-/// (when `audit_sample > 0`), shared with the batcher via `Arc`.
+/// (when `audit_sample > 0`), shared with its service via `Arc`.
 pub struct Auditor {
     shared: Arc<Shared>,
     /// Sample 1-in-this-many answered requests.
@@ -113,8 +113,8 @@ impl Auditor {
         })
     }
 
-    /// Called by the batcher for every answered request, *after* the answer
-    /// is computed and outside the flush path's allocation-checked scopes.
+    /// Called by the service for every answered request, *after* the answer
+    /// is computed and outside the engine's allocation-checked scopes.
     /// Costs one relaxed atomic increment per answer; 1-in-N winners clone
     /// the answer and try-enqueue it (shedding, never blocking, at a full
     /// queue).

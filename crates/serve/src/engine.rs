@@ -35,14 +35,13 @@ use inbox_autodiff::Tape;
 use inbox_core::predict::user_box_from_history;
 use inbox_core::{
     BoxEmb, HistoryCache, InBoxConfig, InBoxModel, ItemScorer, ScoreScratch, TrainedInBox,
-    WorkerPool,
 };
 use inbox_data::Interactions;
 use inbox_eval::{top_k_masked, top_k_masked_into, TopKScratch};
 use inbox_index::{
     auto_nlist, auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch,
 };
-use inbox_kg::{ItemId, KnowledgeGraph, UserId};
+use inbox_kg::{Concept, ItemId, KnowledgeGraph, UserId};
 use inbox_obs::{ObsMutex, ObsRwLock};
 
 use crate::cache::BoxCache;
@@ -99,8 +98,6 @@ pub struct ServeStats {
     pub ingests: u64,
     /// Requests shed by admission control.
     pub sheds: u64,
-    /// Micro-batches flushed.
-    pub batches: u64,
 }
 
 #[derive(Default)]
@@ -111,7 +108,6 @@ struct StatCells {
     fallbacks: AtomicU64,
     ingests: AtomicU64,
     sheds: AtomicU64,
-    batches: AtomicU64,
 }
 
 struct LiveState {
@@ -153,7 +149,6 @@ pub struct Engine {
     popularity: Vec<f32>,
     live: ObsRwLock<LiveState>,
     cache: ObsMutex<BoxCache>,
-    pool: Option<WorkerPool>,
     /// IVF candidate index over the frozen item matrix plus the resolved
     /// probe count. `None` under [`IndexMode::FullSort`] *and* when an IVF
     /// build failed — the engine silently degrades to the full sort, which
@@ -200,7 +195,6 @@ impl Engine {
         let masks = (0..n_users as u32)
             .map(|u| train.items_of(UserId(u)).to_vec())
             .collect();
-        let pool = (serve.threads > 1).then(|| WorkerPool::new(serve.threads));
         let index = match serve.index {
             IndexMode::FullSort => None,
             IndexMode::Ivf { nlist, nprobe } => {
@@ -239,7 +233,6 @@ impl Engine {
             popularity,
             live: ObsRwLock::new("engine.live", LiveState { history, masks }),
             cache: ObsMutex::new("engine.cache", BoxCache::new(serve.cache_cap)),
-            pool,
             index,
             stats: StatCells::default(),
             obs_requests: inbox_obs::rate_counter("serve.requests"),
@@ -274,11 +267,6 @@ impl Engine {
         self.scorer.n_items()
     }
 
-    /// The intra-batch worker pool, when serving with more than one thread.
-    pub(crate) fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
-    }
-
     /// The live candidate index, as `(nlist, nprobe)`: `None` under
     /// [`IndexMode::FullSort`] or after a failed IVF build (the engine then
     /// serves full sorts). The resolved values reflect the auto-derivation
@@ -309,16 +297,11 @@ impl Engine {
             fallbacks: self.stats.fallbacks.load(Ordering::Relaxed),
             ingests: self.stats.ingests.load(Ordering::Relaxed),
             sheds: self.stats.sheds.load(Ordering::Relaxed),
-            batches: self.stats.batches.load(Ordering::Relaxed),
         }
     }
 
     pub(crate) fn note_shed(&self) {
         self.stats.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_batch(&self) {
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The user's current history version.
@@ -411,9 +394,9 @@ impl Engine {
     }
 
     /// Answers one recommend request immediately on the calling thread
-    /// (the micro-batcher calls this per coalesced request; tests may call
-    /// it directly). Users with a box get the geometric ranking; cold users
-    /// get the popularity fallback instead of an error.
+    /// ([`Service`](crate::Service) calls this once per admitted request;
+    /// tests may call it directly). Users with a box get the geometric
+    /// ranking; cold users get the popularity fallback instead of an error.
     pub fn recommend_now(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
         if user.index() >= self.n_users {
             return Err(ServeError::UnknownUser(user));
@@ -435,10 +418,13 @@ impl Engine {
             // Indexed path: candidate generation (probe selection) + exact
             // re-rank over the probed partitions. Only box-backed users go
             // through the index — cold users keep the popularity fallback
-            // below, bit-for-bit unchanged. The re-rank scores candidates
-            // through the very same per-item arithmetic as the full scan,
-            // so whenever the probed partitions contain the true top-k the
-            // answer is byte-identical to `IndexMode::FullSort`.
+            // below, bit-for-bit unchanged. The walk scores candidates with
+            // the active scorer (int8 or f32) and re-scores the near-
+            // threshold survivors through the f32 per-item kernel of the
+            // full scan; unquantized, both closures are the same f32 score
+            // and the slack is 0. Whenever the probed partitions contain
+            // the true top-k the answer is byte-identical to
+            // `IndexMode::FullSort`.
             if let (Some(b), Some((index, nprobe))) = (resolved.as_deref(), self.index.as_ref()) {
                 let RecommendScratch {
                     score,
@@ -464,31 +450,15 @@ impl Engine {
                     let _rerank_span = inbox_obs::ctx_span("engine.rerank");
                     let _rerank_alloc = inbox_obs::alloc_scope("engine.rerank");
                     let live = self.live.read().unwrap();
-                    let mask = &live.masks[user.index()];
-                    if self.scorer.quantization() == inbox_core::Quantization::None {
-                        index.rerank(
-                            &q,
-                            k,
-                            mask,
-                            |i| self.scorer.score_item_prepared(b, score, i),
-                            query,
-                            ranked,
-                        )
-                    } else {
-                        // Bounded-error ranking oracle: the int8 kernel
-                        // selects candidates, near-threshold survivors are
-                        // re-scored through the exact f32 path, recovering
-                        // the f32 top-k of the scanned partitions exactly.
-                        index.rerank_refined(
-                            &q,
-                            k,
-                            mask,
-                            |i| self.scorer.score_item_prepared(b, score, i),
-                            |i| self.scorer.score_item_prepared_f32(b, score, i),
-                            query,
-                            ranked,
-                        )
-                    }
+                    index.rerank_refined(
+                        &q,
+                        k,
+                        &live.masks[user.index()],
+                        |i| self.scorer.score_item_prepared(b, score, i),
+                        |i| self.scorer.score_item_prepared_f32(b, score, i),
+                        query,
+                        ranked,
+                    )
                 };
                 inbox_obs::record_value("engine.candidates.size", rerank_stats.candidates as u64);
                 self.obs_index_requests.incr();
@@ -558,47 +528,26 @@ impl Engine {
     }
 
     /// Reference answer computed with a fresh forward pass, bypassing the
-    /// box cache (the single-threaded oracle of the serving tests). Because
-    /// the forward pass is deterministic, [`Engine::recommend_now`] is
-    /// bit-identical to this for any fixed history version.
+    /// box cache (the single-threaded oracle of the serving tests): the
+    /// exact FullSort f32 ranking, with every item scored through
+    /// [`ItemScorer::score_item_prepared_f32`] and ranked with the
+    /// production tie-break (score descending, item id ascending).
+    /// [`Engine::recommend_now`] is bit-identical to this for any fixed
+    /// history version under full sort, int8 or f32 (and under IVF
+    /// whenever the probed partitions hold the true top-k).
     pub fn oracle(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
         if user.index() >= self.n_users {
             return Err(ServeError::UnknownUser(user));
         }
-        let (version, history) = {
+        let (version, history, mask) = {
             let live = self.live.read().unwrap();
             (
                 live.history.version(user),
                 live.history.history(user).to_vec(),
+                live.masks[user.index()].clone(),
             )
         };
-        let mut tape = Tape::new();
-        let b = user_box_from_history(&self.model, &self.config, &mut tape, user, &history);
-        let (scores, fallback) = match &b {
-            Some(b) => (self.scorer.score_box(b), false),
-            None => (self.popularity.clone(), true),
-        };
-        let items = {
-            let live = self.live.read().unwrap();
-            let mask = &live.masks[user.index()];
-            // Mirror `recommend_now`: quantized box-backed answers go
-            // through the bounded-error refine, so the oracle contract
-            // (bit-identical answers) holds under `--quantize int8` too.
-            match &b {
-                Some(b) if self.scorer.quantization() != inbox_core::Quantization::None => {
-                    let mut score = inbox_core::ScoreScratch::default();
-                    let mut ranked = Vec::new();
-                    self.scorer.prepare_box_bounds(b, &mut score);
-                    self.scorer
-                        .refined_topk_into(b, &mut score, &scores, mask, k, &mut ranked);
-                    ranked
-                }
-                _ => top_k_masked(&scores, mask, k)
-                    .into_iter()
-                    .map(|i| (i, scores[i.index()]))
-                    .collect(),
-            }
-        };
+        let (items, fallback) = self.exact_topk(user, &history, &mask, k);
         Ok(Recommendation {
             user,
             items,
@@ -607,13 +556,11 @@ impl Engine {
         })
     }
 
-    /// Shadow-oracle re-rank for the online audit worker: the exact
-    /// **FullSort f32** answer for `(user, version)`, computed off the hot
-    /// path with fresh allocations. Every item is scored through
-    /// [`ItemScorer::score_item_prepared_f32`] — the same per-item kernel
-    /// the production refine/re-rank paths use — and ranked with the
-    /// production tie-break (score descending, item id ascending), so a
-    /// healthy serving configuration compares byte-identical against it.
+    /// Shadow-oracle re-rank for the online audit worker: the same exact
+    /// FullSort f32 ranking as [`oracle`](Self::oracle) for
+    /// `(user, version)`, computed off the hot path with fresh
+    /// allocations, so a healthy serving configuration compares
+    /// byte-identical against it.
     ///
     /// Returns `Ok(None)` when the comparison would be against different
     /// live state than the answer was served from: the user's history
@@ -644,8 +591,26 @@ impl Engine {
         if served.iter().any(|(i, _)| mask.binary_search(i).is_ok()) {
             return Ok(None);
         }
+        Ok(Some(self.exact_topk(user, &history, &mask, k).0))
+    }
+
+    /// The exact reference ranking both [`oracle`](Self::oracle) and
+    /// [`audit_rerank`](Self::audit_rerank) answer with: a fresh forward
+    /// pass, every item scored through
+    /// [`ItemScorer::score_item_prepared_f32`] — the per-item kernel of the
+    /// f32 full scan and of every serving refine — and the production
+    /// tie-break (score descending, item id ascending). It never runs a
+    /// serving refine itself, so it checks them rather than repeats them.
+    /// Cold users get the popularity ranking, flagged as a fallback.
+    fn exact_topk(
+        &self,
+        user: UserId,
+        history: &[(ItemId, Vec<Concept>)],
+        mask: &[ItemId],
+        k: usize,
+    ) -> (Vec<(ItemId, f32)>, bool) {
         let mut tape = Tape::new();
-        let b = user_box_from_history(&self.model, &self.config, &mut tape, user, &history);
+        let b = user_box_from_history(&self.model, &self.config, &mut tape, user, history);
         let scores: Vec<f32> = match &b {
             Some(b) => {
                 let mut scratch = ScoreScratch::default();
@@ -654,13 +619,12 @@ impl Engine {
                     .map(|i| self.scorer.score_item_prepared_f32(b, &scratch, i))
                     .collect()
             }
-            // Cold users are served the popularity ranking; audit it as-is.
             None => self.popularity.clone(),
         };
-        let items = top_k_masked(&scores, &mask, k)
+        let items = top_k_masked(&scores, mask, k)
             .into_iter()
             .map(|i| (i, scores[i.index()]))
             .collect();
-        Ok(Some(items))
+        (items, b.is_none())
     }
 }

@@ -7,8 +7,8 @@ use inbox_kg::{ItemId, UserId};
 /// Errors returned by [`Service`](crate::Service) operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The admission queue is full; the request was shed immediately instead
-    /// of queueing behind an unbounded backlog.
+    /// The in-flight admission cap is reached; the request was shed
+    /// immediately instead of queueing behind an unbounded backlog.
     Overloaded,
     /// The user id is outside the trained universe.
     UnknownUser(UserId),
@@ -21,7 +21,7 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Overloaded => write!(f, "service overloaded: admission queue full"),
+            ServeError::Overloaded => write!(f, "service overloaded: in-flight cap reached"),
             ServeError::UnknownUser(u) => write!(f, "unknown user {}", u.0),
             ServeError::UnknownItem(i) => write!(f, "unknown item {}", i.0),
             ServeError::Closed => write!(f, "service is shut down"),

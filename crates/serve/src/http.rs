@@ -20,8 +20,8 @@
 //! The server never panics a connection thread on bad input.
 //!
 //! Every connection mints a request trace (`http.request` root) at accept,
-//! subject to the flight recorder's sampling; the parse, batcher, engine,
-//! pool, and response-write stages all record spans into its tree, and the
+//! subject to the flight recorder's sampling; the parse, admission, engine,
+//! and response-write stages all record spans into its tree, and the
 //! trace finishes with the request's outcome (`Ok`/`Shed`/`Error`, with
 //! slow-but-Ok requests promoted to `Slow` past the configured threshold).
 
@@ -416,7 +416,7 @@ fn respond(
             let s = service.stats();
             let audit = inbox_obs::audit_snapshot(inbox_obs::ALERT_WINDOW_SECS);
             let body = format!(
-                "{{\"requests\":{},\"rebuilds\":{},\"cache_hits\":{},\"evictions\":{},\"fallbacks\":{},\"ingests\":{},\"sheds\":{},\"batches\":{},\"queued\":{},\"cached_boxes\":{},\"batch_size\":{},\"queue_depth\":{},\"audit_backlog\":{},\"audit_sampled\":{},\"audit_audited\":{},\"audit_window_recall\":{},\"audit_degraded\":{}}}",
+                "{{\"requests\":{},\"rebuilds\":{},\"cache_hits\":{},\"evictions\":{},\"fallbacks\":{},\"ingests\":{},\"sheds\":{},\"queued\":{},\"cached_boxes\":{},\"queue_depth\":{},\"audit_backlog\":{},\"audit_sampled\":{},\"audit_audited\":{},\"audit_window_recall\":{},\"audit_degraded\":{}}}",
                 s.requests,
                 s.rebuilds,
                 s.cache_hits,
@@ -424,10 +424,8 @@ fn respond(
                 s.fallbacks,
                 s.ingests,
                 s.sheds,
-                s.batches,
                 service.queued(),
                 service.engine().cache_len(),
-                value_stat("serve.batch.size"),
                 value_stat("serve.queue.depth"),
                 service.audit_backlog(),
                 audit.sampled,

@@ -10,38 +10,37 @@
 //!   bit-identical to the single-threaded offline ranking at any fixed
 //!   history version; `ingest` records an interaction and invalidates only
 //!   that user's cached box.
-//! - [`Batcher`]: bounded admission queue + flush thread that coalesces
-//!   concurrent requests into micro-batches (flush on batch size or
-//!   deadline) and fans them out over a shared worker pool. Over-capacity
-//!   arrivals are shed with [`ServeError::Overloaded`].
-//! - [`Service`]: the facade gluing engine and batcher together — the type
-//!   embedders call.
+//! - [`Service`]: the facade embedders call. Each recommend request is
+//!   answered on its caller's thread behind an in-flight admission cap;
+//!   arrivals over the cap are shed with [`ServeError::Overloaded`].
 //! - [`HttpServer`]: a std-only HTTP/1.1 front-end (`/health`,
 //!   `/recommend`, `/ingest`, `/stats`).
 //!
 //! Cold users (no history) degrade to the popularity ranking rather than
 //! erroring; every other degraded outcome is an explicit [`ServeError`].
-//! Serving emits `serve.*` counters, the `serve.batch.size` value
-//! histogram, and the `serve.request` latency span through `inbox-obs`, so
-//! the existing telemetry sinks (`--metrics-out`) see serving traffic in
-//! the same schema as training.
+//! Serving emits `serve.*` counters, the `serve.queue.depth` value
+//! histogram (requests in flight at admission), and the `serve.request`
+//! latency span through `inbox-obs`, so the existing telemetry sinks
+//! (`--metrics-out`) see serving traffic in the same schema as training.
 
 #![warn(missing_docs)]
 
+mod admission;
 mod audit;
-mod batcher;
 mod cache;
 mod engine;
 mod error;
 mod http;
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use inbox_kg::{ItemId, UserId};
+use inbox_obs::ActiveTrace;
+
+use crate::admission::Admission;
 
 pub use audit::Auditor;
-pub use batcher::Batcher;
 pub use cache::BoxCache;
 pub use engine::{Engine, Ingested, Recommendation, ServeStats};
 pub use error::ServeError;
@@ -52,18 +51,11 @@ pub use inbox_index::IndexMode;
 /// Tuning knobs for the service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Most requests coalesced into one micro-batch.
-    pub max_batch: usize,
-    /// How long the flush thread waits past the first enqueued request for
-    /// the batch to fill before flushing anyway.
-    pub batch_wait: Duration,
-    /// Admission bound: requests arriving while this many are already
-    /// queued are shed with [`ServeError::Overloaded`].
+    /// Admission bound: requests arriving while this many are already in
+    /// flight are shed with [`ServeError::Overloaded`].
     pub queue_cap: usize,
     /// Box cache capacity (entries ≈ users resident at once).
     pub cache_cap: usize,
-    /// Scoring threads for intra-batch fan-out (1 = no worker pool).
-    pub threads: usize,
     /// Latency objective for the `serve.recommend` SLO: requests answered
     /// under this are "good"; the target good fraction is [`SLO_TARGET`].
     pub slo_objective: Duration,
@@ -77,11 +69,11 @@ pub struct ServeConfig {
     /// build degrades to full sort — never a startup failure.
     pub index: IndexMode,
     /// Item-matrix quantization for inference scoring.
-    /// [`Quantization::None`] keeps the f32 matrix (bit-identical to
-    /// offline ranking); [`Quantization::Int8`] scores through the
-    /// dequantize-free int8 kernel, trading exactness for throughput
-    /// under the testkit's agreement@20 ≥ 0.99 contract. Cold users
-    /// (popularity fallback) bypass quantization byte-identically.
+    /// [`Quantization::None`] scores the f32 matrix; [`Quantization::Int8`]
+    /// scans through the dequantize-free int8 kernel and re-scores the
+    /// near-threshold survivors in f32, so answers stay byte-identical to
+    /// the f32 ranking either way. Cold users (popularity fallback)
+    /// bypass quantization.
     pub quantize: Quantization,
     /// Shadow-oracle audit sampling: 1-in-this-many answered requests are
     /// copied to the background audit worker and re-ranked through the
@@ -105,11 +97,8 @@ pub const SLO_TARGET: f64 = 0.99;
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            max_batch: 32,
-            batch_wait: Duration::from_micros(500),
             queue_cap: 1024,
             cache_cap: 100_000,
-            threads: 1,
             slo_objective: Duration::from_millis(50),
             trace_slow: Duration::from_millis(250),
             index: IndexMode::FullSort,
@@ -121,16 +110,21 @@ impl Default for ServeConfig {
     }
 }
 
-/// The assembled service: an [`Engine`] behind a [`Batcher`]. This is the
-/// type both the HTTP front-end and in-process embedders talk to.
+/// The assembled service: an [`Engine`] behind an in-flight admission
+/// cap, plus the shadow-oracle [`Auditor`]. This is the type both the HTTP
+/// front-end and in-process embedders talk to.
 pub struct Service {
     engine: Arc<Engine>,
-    batcher: Batcher,
+    admission: Admission,
     auditor: Option<Arc<Auditor>>,
+    /// `serve.recommend` SLO: answered latencies classified against the
+    /// objective; sheds count as (infinitely) bad events.
+    slo: inbox_obs::Slo,
+    shed: inbox_obs::RateCounter,
 }
 
 impl Service {
-    /// Starts a service over `engine` with the batching knobs in `config`.
+    /// Starts a service over `engine` with the knobs in `config`.
     /// Registers the `serve.recommend` SLO, arms the flight recorder's
     /// slow-trace threshold, and (unless `audit_sample` is 0) captures the
     /// drift references and starts the shadow-oracle audit worker.
@@ -140,38 +134,86 @@ impl Service {
         let engine = Arc::new(engine);
         let auditor =
             (config.audit_sample > 0).then(|| Auditor::start(Arc::clone(&engine), config));
-        let batcher = Batcher::start(Arc::clone(&engine), config, auditor.clone());
         Self {
             engine,
-            batcher,
+            admission: Admission::new(config.queue_cap),
             auditor,
+            slo: inbox_obs::slo("serve.recommend", config.slo_objective, SLO_TARGET),
+            shed: inbox_obs::rate_counter("serve.shed"),
         }
     }
 
     /// The underlying engine (for stats, oracle comparisons, and direct
-    /// unbatched access in tests).
+    /// unadmitted access in tests).
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
     }
 
-    /// Top-K recommendations for `user`, via the micro-batcher. Blocks
-    /// until the request's batch is flushed; sheds with
-    /// [`ServeError::Overloaded`] when the admission queue is full.
+    /// Top-K recommendations for `user`, computed on the calling thread.
+    /// Sheds with [`ServeError::Overloaded`] when `queue_cap` requests are
+    /// already in flight, and refuses with [`ServeError::Closed`] after
+    /// [`shutdown`](Service::shutdown).
     pub fn recommend(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
-        self.batcher.recommend(user, k, None)
+        self.answer(user, k, None)
     }
 
     /// [`recommend`](Service::recommend) with an active request trace:
-    /// admission, queueing, flush, engine, and pool stages all record
-    /// spans into `trace`'s tree. The caller owns the trace and finishes
-    /// it (the HTTP front-end does both ends).
+    /// admission and the engine stages record spans into `trace`'s tree.
+    /// The caller owns the trace and finishes it (the HTTP front-end does
+    /// both ends).
     pub fn recommend_traced(
         &self,
         user: UserId,
         k: usize,
-        trace: &inbox_obs::ActiveTrace,
+        trace: &ActiveTrace,
     ) -> Result<Recommendation, ServeError> {
-        self.batcher.recommend(user, k, Some(trace.clone()))
+        self.answer(user, k, Some(trace))
+    }
+
+    /// Admits, answers, audits, and records one recommend request.
+    fn answer(
+        &self,
+        user: UserId,
+        k: usize,
+        trace: Option<&ActiveTrace>,
+    ) -> Result<Recommendation, ServeError> {
+        let start = Instant::now();
+        let admit_span = trace.map(|t| t.span("serve.admit", Some(0)));
+        let slot = match self.admission.admit() {
+            Ok(slot) => slot,
+            Err(e) => {
+                if e == ServeError::Overloaded {
+                    self.engine.note_shed();
+                    self.shed.incr();
+                    // A shed is a user-visible failure: it burns SLO budget
+                    // even though it has no latency to classify.
+                    self.slo.observe(Duration::MAX);
+                }
+                return Err(e);
+            }
+        };
+        inbox_obs::record_value("serve.queue.depth", slot.depth as u64);
+        drop(admit_span);
+        // Chaos sites, holding the slot: a stall keeps the request in
+        // flight (so later arrivals see a full cap), and an injected panic
+        // unwinds the caller, whose slot must be given back on the way out.
+        let _ = inbox_obs::failpoint!("serve.recommend.stall");
+        if inbox_obs::failpoint!("serve.recommend.panic") {
+            panic!("injected failpoint: serve.recommend.panic");
+        }
+        let answer = match trace {
+            Some(t) => inbox_obs::with_context(t, 0, || self.engine.recommend_now(user, k)),
+            None => self.engine.recommend_now(user, k),
+        };
+        // The 1-in-N winners clone their answer for the background oracle:
+        // audit overhead, never blocking (a full audit queue sheds).
+        if let (Some(auditor), Ok(rec)) = (&self.auditor, &answer) {
+            auditor.maybe_sample(rec);
+        }
+        let latency = start.elapsed();
+        inbox_obs::record_duration("serve.request", latency);
+        self.slo.observe(latency);
+        answer
     }
 
     /// Records a live interaction. Synchronous and never shed: ingest is a
@@ -186,9 +228,10 @@ impl Service {
         self.engine.stats()
     }
 
-    /// Number of requests currently waiting in the admission queue.
+    /// Number of recommend requests currently in flight (admitted and not
+    /// yet answered).
     pub fn queued(&self) -> usize {
-        self.batcher.queued()
+        self.admission.in_flight()
     }
 
     /// Number of sampled answers waiting for their shadow-oracle re-rank
@@ -197,11 +240,12 @@ impl Service {
         self.auditor.as_ref().map_or(0, |a| a.backlog())
     }
 
-    /// Stops the batcher (draining queued requests first), then the audit
-    /// worker (draining sampled answers through the oracle). Idempotent;
-    /// the engine stays usable for direct (unbatched) calls afterwards.
+    /// Refuses new recommend requests and waits for the in-flight ones to
+    /// be answered, then stops the audit worker (draining sampled answers
+    /// through the oracle). Idempotent; the engine stays usable for direct
+    /// calls afterwards.
     pub fn shutdown(&self) {
-        self.batcher.shutdown();
+        self.admission.close();
         if let Some(auditor) = &self.auditor {
             auditor.shutdown();
         }

@@ -1,15 +1,17 @@
 //! Runtime proof of the serving stack's allocation-free steady state.
 //!
 //! This binary installs the instrumented global allocator and drives real
-//! traffic through the full batcher → engine pipeline. After a warmup
-//! round has grown every per-thread scratch buffer and registered every
-//! metric cell, the `engine.score`, `engine.rank`, and `batcher.flush`
+//! traffic through the full service → engine pipeline. Scoring runs on
+//! the caller's thread, so the callers here are long-lived: a sequential
+//! caller plus four concurrent ones that live across every round. After
+//! warmup rounds have grown each caller's per-thread scratch buffers and
+//! registered every metric cell, the `engine.score` and `engine.rank`
 //! allocation scopes must observe **zero** further allocations — the
-//! property PR 2 claimed by construction, checked here against the real
-//! allocator. Lives in its own test binary because the global tracking
+//! property the per-thread scratch design claims by construction, checked
+//! here against the real allocator. Lives in its own test binary because the global tracking
 //! toggle and the scope counters are process-wide.
 
-use std::sync::Arc;
+use std::sync::Barrier;
 
 use inbox_core::{InBoxConfig, InBoxModel, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
@@ -21,9 +23,16 @@ static ALLOC: inbox_obs::InstrumentedAlloc = inbox_obs::InstrumentedAlloc;
 
 /// The steady-state scopes under test and the per-scope allocation counts
 /// at a point in time.
-const HOT_SCOPES: [&str; 3] = ["engine.score", "engine.rank", "batcher.flush"];
+const HOT_SCOPES: [&str; 2] = ["engine.score", "engine.rank"];
 
-fn hot_allocs() -> [u64; 3] {
+/// Concurrent callers that live across every round.
+const CALLERS: u32 = 4;
+
+/// Warmup rounds before the measured one: the second already runs warm
+/// paths (cache hits as well as rebuilds).
+const WARMUP_ROUNDS: usize = 2;
+
+fn hot_allocs() -> [u64; 2] {
     HOT_SCOPES.map(|s| {
         inbox_obs::alloc_scope_stats(s)
             .map(|st| st.allocs)
@@ -31,28 +40,12 @@ fn hot_allocs() -> [u64; 3] {
     })
 }
 
-/// One traffic round: sequential singles (inline flush-thread scoring)
-/// plus concurrent bursts (pool fan-out), all at the same `k`.
-fn drive(service: &Arc<Service>, n_users: u32, k: usize) {
+/// One caller's share of a round: every user once, starting at `offset`.
+fn sweep(service: &Service, n_users: u32, offset: u32, k: usize) {
     for u in 0..n_users {
         service
-            .recommend(UserId(u), k)
-            .unwrap_or_else(|e| panic!("single request for user {u}: {e}"));
-    }
-    let burst: Vec<_> = (0..4)
-        .map(|t| {
-            let service = Arc::clone(service);
-            std::thread::spawn(move || {
-                for u in 0..n_users {
-                    service
-                        .recommend(UserId((u + t) % n_users), k)
-                        .unwrap_or_else(|e| panic!("burst request: {e}"));
-                }
-            })
-        })
-        .collect();
-    for handle in burst {
-        handle.join().expect("burst producer");
+            .recommend(UserId((u + offset) % n_users), k)
+            .unwrap_or_else(|e| panic!("request for user {u}: {e}"));
     }
 }
 
@@ -73,25 +66,39 @@ fn steady_state_serving_allocates_nothing_in_the_hot_scopes() {
         n_users: ds.train.n_users(),
     };
     let model = InBoxModel::new(sizes, &cfg);
-    let serve_cfg = ServeConfig {
-        threads: 2,
-        ..ServeConfig::default()
-    };
+    let serve_cfg = ServeConfig::default();
     let engine = Engine::new(model, cfg, ds.kg.clone(), &ds.train, &serve_cfg);
-    let service = Arc::new(Service::start(engine, &serve_cfg));
+    let service = Service::start(engine, &serve_cfg);
     let n_users = ds.train.n_users() as u32;
 
     inbox_obs::set_alloc_tracking(true);
-    // Warmup: grow every scratch buffer on the flush thread and both pool
-    // workers, populate the box cache, and register every metric cell the
-    // hot path touches. Two rounds so the second already runs warm paths
-    // (cache hits as well as rebuilds).
-    drive(&service, n_users, 5);
-    drive(&service, n_users, 5);
-
-    let before = hot_allocs();
-    drive(&service, n_users, 5);
-    let after = hot_allocs();
+    // Each round: this thread sweeps alone, then the concurrent callers
+    // sweep together. The barrier brackets every round so the counters
+    // are read only while no caller is scoring.
+    let round = Barrier::new(CALLERS as usize + 1);
+    let (before, after) = std::thread::scope(|s| {
+        for t in 0..CALLERS {
+            let (service, round) = (&service, &round);
+            s.spawn(move || {
+                for _ in 0..=WARMUP_ROUNDS {
+                    round.wait();
+                    sweep(service, n_users, t, 5);
+                    round.wait();
+                }
+            });
+        }
+        let drive = || {
+            sweep(&service, n_users, 0, 5);
+            round.wait();
+            round.wait();
+        };
+        for _ in 0..WARMUP_ROUNDS {
+            drive();
+        }
+        let before = hot_allocs();
+        drive();
+        (before, hot_allocs())
+    });
     inbox_obs::set_alloc_tracking(false);
 
     for (scope, (b, a)) in HOT_SCOPES.iter().zip(before.iter().zip(after.iter())) {

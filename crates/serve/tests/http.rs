@@ -172,7 +172,8 @@ fn stats_and_unknown_routes() {
         "fallbacks",
         "ingests",
         "sheds",
-        "batches",
+        "queued",
+        "queue_depth",
     ] {
         assert!(body.contains(&format!("\"{field}\":")), "body: {body}");
     }

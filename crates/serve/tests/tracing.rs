@@ -1,8 +1,7 @@
 //! Flight-recorder integration tests: a traced HTTP request must leave a
-//! complete causal span tree behind — HTTP accept → parse → batcher
-//! admission/queueing → engine resolve/score/rank (→ pool on the fan-out
-//! path) → response write — and slow requests must be promoted and
-//! retained in the notable ring.
+//! complete causal span tree behind — HTTP accept → parse → admission →
+//! engine resolve/score/rank → response write — and slow requests must be
+//! promoted and retained in the notable ring.
 //!
 //! Everything here runs in one `#[test]` because the flight recorder, the
 //! sampling knob, and the slow threshold are process-global: concurrent
@@ -63,8 +62,8 @@ fn assert_recommend_tree(trace: &TraceRecord) {
     assert!(root.dur_ns > 0, "root span never closed");
     assert!(root.dur_ns <= trace.total_ns);
 
-    // Front-end and batcher stages hang off the root.
-    for name in ["http.parse", "batcher.admit", "batcher.queue", "http.write"] {
+    // Front-end and admission stages hang off the root.
+    for name in ["http.parse", "serve.admit", "http.write"] {
         let s = span(trace, name);
         assert_eq!(s.parent, Some(0), "{name} must be a child of the root");
         assert!(
@@ -73,22 +72,10 @@ fn assert_recommend_tree(trace: &TraceRecord) {
         );
     }
 
-    // Engine stages form a subtree: recommend owns resolve/score/rank, and
-    // resolve owns exactly one of cache_hit/rebuild. On the pool fan-out
-    // path an extra pool.score span sits between root and recommend.
+    // Engine stages form a subtree under the root: recommend owns
+    // resolve/score/rank, and resolve owns exactly one of cache_hit/rebuild.
     let recommend = span(trace, "engine.recommend");
-    match recommend.parent {
-        Some(0) => {}
-        parent => {
-            let pool = span(trace, "pool.score");
-            assert_eq!(
-                parent,
-                Some(pool.id),
-                "engine.recommend must hang off root or pool.score"
-            );
-            assert_eq!(pool.parent, Some(0));
-        }
-    }
+    assert_eq!(recommend.parent, Some(0), "engine.recommend hangs off root");
     let resolve = span(trace, "engine.resolve_box");
     assert_eq!(resolve.parent, Some(recommend.id));
     assert_eq!(span(trace, "engine.score").parent, Some(recommend.id));
@@ -104,11 +91,10 @@ fn assert_recommend_tree(trace: &TraceRecord) {
         "a lookup is a hit XOR a rebuild"
     );
 
-    // The admission span closes before queueing ends: admit returns once
-    // the request is enqueued, the queue span only closes at dequeue.
-    let admit = span(trace, "batcher.admit");
-    let queue = span(trace, "batcher.queue");
-    assert!(admit.start_ns <= queue.start_ns);
+    // Admission closes before the engine starts: the request is scored
+    // only once it holds its in-flight slot.
+    let admit = span(trace, "serve.admit");
+    assert!(admit.start_ns + admit.dur_ns <= recommend.start_ns);
 }
 
 #[test]
@@ -117,7 +103,7 @@ fn flight_recorder_reproduces_request_trees() {
     inbox_obs::set_trace_sampling(1);
     inbox_obs::clear_traces();
 
-    // --- phase 1: plain request, sequential scoring path ----------------
+    // --- phase 1: plain request ------------------------------------------
     let service = service_over(&ServeConfig::default());
     let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let response = http_get(http.local_addr(), "/recommend?user=0&k=5");
@@ -133,33 +119,7 @@ fn flight_recorder_reproduces_request_trees() {
     assert_eq!(trace.outcome, TraceOutcome::Ok);
     assert_recommend_tree(trace);
 
-    // --- phase 2: pool fan-out path --------------------------------------
-    let pooled = service_over(&ServeConfig {
-        threads: 2,
-        max_batch: 16,
-        batch_wait: Duration::from_millis(40),
-        ..ServeConfig::default()
-    });
-    let http = HttpServer::bind(Arc::clone(&pooled), "127.0.0.1:0").expect("bind");
-    let addr = http.local_addr();
-    std::thread::scope(|s| {
-        for u in 0..4u32 {
-            s.spawn(move || {
-                let r = http_get(addr, &format!("/recommend?user={u}&k=5"));
-                assert!(r.starts_with("HTTP/1.1 200"), "{r}");
-            });
-        }
-    });
-    http.shutdown();
-    pooled.shutdown();
-    let traces = inbox_obs::recent_traces();
-    let pooled_trace = traces
-        .iter()
-        .find(|t| t.spans.iter().any(|s| s.name == "pool.score"))
-        .expect("with a 40ms batch window and 4 concurrent clients at least one batch fans out");
-    assert_recommend_tree(pooled_trace);
-
-    // --- phase 3: slow request promoted into the notable ring ------------
+    // --- phase 2: slow request promoted into the notable ring ------------
     // A zero-ish threshold makes every request slow; the service arms it
     // at start.
     let slow_svc = service_over(&ServeConfig {

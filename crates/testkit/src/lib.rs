@@ -5,8 +5,8 @@
 //!
 //! - **Failpoints** (re-exported from [`inbox_obs::failpoints`], inventory
 //!   in [`sites`]) — deterministic fault injection threaded through
-//!   `core::persist`, `serve::{batcher, engine, http}`. The sites compile
-//!   to no-ops unless the `failpoints` cargo feature is on; the chaos and
+//!   `core::persist`, `index`, the `serve::Service` facade, and
+//!   `serve::{admission, engine, http}`. The sites compile to no-ops unless the `failpoints` cargo feature is on; the chaos and
 //!   coverage suites under `tests/` only build with it.
 //! - **Differential oracles** ([`oracle`]) — naive scalar reference
 //!   implementations of the box geometry, the fused tape ops, the full

@@ -22,6 +22,9 @@ pub const ALL: &[&str] = &[
     // core::persist::save — write only the first half of the document,
     // simulating a crash mid-write.
     "persist.save.truncate",
+    // serve::admission::Admission::admit — report the in-flight cap as
+    // reached regardless of occupancy, forcing a shed.
+    "serve.admit.full",
     // serve::audit::worker_loop — panic the audit worker thread before
     // it processes a dequeued sample; serving must be unaffected.
     "serve.audit.panic",
@@ -31,31 +34,24 @@ pub const ALL: &[&str] = &[
     // serve::audit::worker_loop — stall the audit worker (pure delay)
     // before each sample is re-ranked; backlog grows, serving does not.
     "serve.audit.stall",
-    // serve::batcher::flush_loop — panic the flush thread right before
-    // it answers a drained batch.
-    "serve.batcher.flush_panic",
-    // serve::batcher::flush_loop — stall the flush thread (pure delay)
-    // between draining a batch and answering it.
-    "serve.batcher.flush_stall",
-    // serve::batcher::recommend — report the admission queue as full
-    // regardless of its occupancy, forcing a shed.
-    "serve.batcher.queue_full",
     // serve::engine::resolve_box — skip caching a freshly built box,
     // simulating eviction racing the insert.
     "serve.cache.evict",
     // serve::http::handle_connection — drop the connection after
     // parsing, before any response byte (client sees clean EOF).
     "serve.http.torn_response",
+    // serve::Service::recommend — panic the caller after admission; its
+    // slot must be released as it unwinds.
+    "serve.recommend.panic",
+    // serve::Service::recommend — stall the caller after admission (pure
+    // delay), holding its in-flight slot.
+    "serve.recommend.stall",
 ];
 
 /// Every span name that can appear in a request trace's tree, sorted by
 /// name. The coverage suite source-scans `inbox-serve` for span-opening
 /// calls and fails when either direction drifts.
 pub const TRACE_SPANS: &[&str] = &[
-    // Batcher admission: covers the shed decision and the enqueue.
-    "batcher.admit",
-    // Time spent queued; opened at enqueue, closed at batch dequeue.
-    "batcher.queue",
     // Box cache hit marker (zero-duration leaf under resolve_box).
     "engine.cache_hit",
     // IVF candidate generation: probe selection over partition centroids.
@@ -78,8 +74,8 @@ pub const TRACE_SPANS: &[&str] = &[
     "http.request",
     // Response serialisation + socket write.
     "http.write",
-    // Worker-pool execution of one request inside a fanned-out batch.
-    "pool.score",
+    // In-flight admission: the closed check and the shed decision.
+    "serve.admit",
 ];
 
 /// Every allocation-scope label registered by the instrumented crates
@@ -88,9 +84,6 @@ pub const TRACE_SPANS: &[&str] = &[
 /// both crates and checks the runtime registry so that a scope nobody
 /// lists — or a listed scope nobody enters — fails CI.
 pub const ALLOC_SCOPES: &[&str] = &[
-    // serve::batcher — batch drain, bookkeeping, and reply fan-out on the
-    // flush thread (allocation-free at steady state).
-    "batcher.flush",
     // serve::engine::recommend_now — IVF probe selection into per-thread
     // scratch (allocation-free at steady state).
     "engine.candidates",

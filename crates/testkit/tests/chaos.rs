@@ -8,6 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -108,20 +109,20 @@ fn load_io_failure_stays_io() {
     }
 }
 
-/// A full admission queue sheds with `Overloaded` — typed, counted, and
+/// A full admission cap sheds with `Overloaded` — typed, counted, and
 /// fully recoverable once pressure is gone.
 #[test]
-fn queue_full_sheds_with_overloaded() {
+fn admit_full_sheds_with_overloaded() {
     let _serial = serial();
     let serve_cfg = ServeConfig::default();
     let (_ds, _cfg, engine) = harness::engine(44, &serve_cfg);
     let service = Service::start(engine, &serve_cfg);
     {
-        let _fp = FailGuard::new("serve.batcher.queue_full", Trigger::Always);
+        let _fp = FailGuard::new("serve.admit.full", Trigger::Always);
         for _ in 0..3 {
             match service.recommend(UserId(0), 5) {
                 Err(ServeError::Overloaded) => {}
-                other => panic!("full queue must shed with Overloaded, got {other:?}"),
+                other => panic!("full cap must shed with Overloaded, got {other:?}"),
             }
         }
         assert_eq!(service.stats().sheds, 3, "sheds must be counted");
@@ -133,51 +134,98 @@ fn queue_full_sheds_with_overloaded() {
     service.shutdown();
 }
 
-/// Satellite regression: a flush thread that dies with a batch in hand
-/// must disconnect the waiting caller with a deterministic `Closed` — and
-/// every later request must get the same `Closed` immediately instead of
-/// queueing into a dead batcher forever.
+/// The deterministic shed: a stalled request holds the only in-flight
+/// slot of a `queue_cap = 1` service, so the next arrival is shed with
+/// `Overloaded` (counted once); shutdown waits for the held request, which
+/// still gets a real answer; after shutdown, requests are refused with
+/// `Closed`.
 #[test]
-fn flush_panic_yields_deterministic_closed() {
+fn admission_cap_sheds_with_overloaded() {
     let _serial = serial();
-    let serve_cfg = ServeConfig::default();
+    let serve_cfg = ServeConfig {
+        queue_cap: 1,
+        ..ServeConfig::default()
+    };
+    let (_ds, _cfg, engine) = harness::engine(46, &serve_cfg);
+    let service = Service::start(engine, &serve_cfg);
+    let _fp = FailGuard::new(
+        "serve.recommend.stall",
+        Trigger::DelayOnce(Duration::from_secs(1)),
+    );
+    std::thread::scope(|s| {
+        let handle = {
+            let service = &service;
+            s.spawn(move || service.recommend(UserId(0), 5))
+        };
+        // Wait until the first request actually holds its slot.
+        while service.queued() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            service.recommend(UserId(1), 5),
+            Err(ServeError::Overloaded),
+            "second arrival must be shed, not queued"
+        );
+        // Shutdown waits for the request in flight: the first caller still
+        // gets a real answer, not an error.
+        service.shutdown();
+        let first = handle.join().unwrap();
+        assert!(
+            first.is_ok(),
+            "held request must be answered across shutdown"
+        );
+    });
+    let stats = service.stats();
+    assert_eq!(stats.sheds, 1);
+    assert_eq!(stats.requests, 1);
+    // After shutdown, new requests are refused explicitly.
+    assert_eq!(service.recommend(UserId(0), 5), Err(ServeError::Closed));
+}
+
+/// A caller that panics after admission unwinds without leaking its
+/// in-flight slot: a `queue_cap = 1` service answers the next request
+/// instead of shedding it forever.
+#[test]
+fn recommend_panic_unwinds_and_frees_the_slot() {
+    let _serial = serial();
+    let serve_cfg = ServeConfig {
+        queue_cap: 1,
+        ..ServeConfig::default()
+    };
     let (_ds, _cfg, engine) = harness::engine(45, &serve_cfg);
     let service = Service::start(engine, &serve_cfg);
-    let _fp = FailGuard::new("serve.batcher.flush_panic", Trigger::Nth(1));
-    match service.recommend(UserId(0), 5) {
-        Err(ServeError::Closed) => {}
-        other => panic!("caller in the dying batch must see Closed, got {other:?}"),
+    {
+        let _fp = FailGuard::new("serve.recommend.panic", Trigger::Nth(1));
+        let unwound =
+            std::panic::catch_unwind(AssertUnwindSafe(|| service.recommend(UserId(0), 5)));
+        assert!(unwound.is_err(), "the armed caller must unwind");
     }
-    // The flush thread is gone; later callers must fail fast, not hang.
-    let t0 = Instant::now();
-    match service.recommend(UserId(1), 5) {
-        Err(ServeError::Closed) => {}
-        other => panic!("post-crash request must see Closed, got {other:?}"),
-    }
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "post-crash requests must fail fast, not block on a dead flush thread"
-    );
+    assert_eq!(service.queued(), 0, "the unwound caller's slot is free");
+    let rec = service
+        .recommend(UserId(1), 5)
+        .expect("the next request must be admitted and answered");
+    assert_eq!(rec, service.engine().oracle(UserId(1), 5).unwrap());
+    assert_eq!(service.stats().sheds, 0);
     service.shutdown();
 }
 
-/// A one-shot stall in the flush thread delays the batch but loses
-/// nothing: the answer still arrives, correct and typed.
+/// A one-shot stall after admission delays the request but loses nothing:
+/// the answer still arrives, correct and typed.
 #[test]
-fn flush_stall_delays_but_answers() {
+fn recommend_stall_delays_but_answers() {
     let _serial = serial();
     let serve_cfg = ServeConfig::default();
     let (_ds, _cfg, engine) = harness::engine(46, &serve_cfg);
     let service = Service::start(engine, &serve_cfg);
     let stall = Duration::from_millis(50);
-    let _fp = FailGuard::new("serve.batcher.flush_stall", Trigger::DelayOnce(stall));
+    let _fp = FailGuard::new("serve.recommend.stall", Trigger::DelayOnce(stall));
     let t0 = Instant::now();
     let rec = service
         .recommend(UserId(0), 5)
-        .expect("stalled batch must still flush");
+        .expect("stalled request must still be answered");
     assert!(
         t0.elapsed() >= stall,
-        "the injected stall must actually delay the batch"
+        "the injected stall must actually delay the request"
     );
     let expected = service.engine().oracle(UserId(0), 5).unwrap();
     assert_eq!(rec.items, expected.items, "stalled answer must be exact");

@@ -85,18 +85,18 @@ fn every_registered_site_is_exercised_and_listed() {
     }
     let service = Arc::new(Service::start(engine, &serve_cfg));
     {
-        let _fp = FailGuard::new("serve.batcher.queue_full", Trigger::Always);
+        let _fp = FailGuard::new("serve.admit.full", Trigger::Always);
         assert!(service.recommend(UserId(0), 5).is_err());
     }
     {
         let _fp = FailGuard::new(
-            "serve.batcher.flush_stall",
+            "serve.recommend.stall",
             Trigger::DelayOnce(Duration::from_millis(1)),
         );
         service.recommend(UserId(0), 5).unwrap();
     }
     // --- audit worker sites -----------------------------------------------
-    // The sampler sheds synchronously on the flush thread, so the guard
+    // The sampler sheds synchronously on the caller's thread, so the guard
     // scope suffices; the worker-side sites fire asynchronously and are
     // awaited via their fired counters.
     {
@@ -137,10 +137,14 @@ fn every_registered_site_is_exercised_and_listed() {
     }
     http.shutdown();
     {
-        // Last: the injected panic kills the flush thread for good.
-        let _fp = FailGuard::new("serve.batcher.flush_panic", Trigger::Nth(1));
-        assert!(service.recommend(UserId(0), 5).is_err());
+        // The injected panic unwinds the caller; its slot is released.
+        let _fp = FailGuard::new("serve.recommend.panic", Trigger::Nth(1));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.recommend(UserId(0), 5)
+        }));
+        assert!(unwound.is_err());
     }
+    service.recommend(UserId(0), 5).unwrap();
     service.shutdown();
 
     // --- direction 1: every listed site was hit and fired -----------------

@@ -1,10 +1,9 @@
 //! Metamorphic suites: properties that must hold for any input —
 //! intersection monotonicity, translation invariance of scores, monotone
 //! version growth under ingestion, and "shedding never corrupts" for the
-//! admission queue.
+//! in-flight admission cap.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use inbox_core::BoxEmb;
 use inbox_kg::{ItemId, UserId};
@@ -53,8 +52,6 @@ fn ingest_then_recommend_grows_versions_monotonically() {
 #[test]
 fn shed_never_corrupts() {
     let serve_cfg = ServeConfig {
-        max_batch: 4,
-        batch_wait: Duration::from_micros(200),
         queue_cap: 1,
         ..ServeConfig::default()
     };

@@ -55,8 +55,8 @@ mod shed {
     use inbox_testkit::harness;
     use inbox_testkit::{FailGuard, Trigger};
 
-    /// A shed request's trace: admission happened, queueing and engine
-    /// stages never did, the outcome is `Shed`, and the notable ring
+    /// A shed request's trace: admission happened, the engine stages
+    /// never ran, the outcome is `Shed`, and the notable ring
     /// retained it.
     #[test]
     fn shed_request_leaves_a_truncated_tree_in_the_notable_ring() {
@@ -69,10 +69,10 @@ mod shed {
         let trace = inbox_obs::start_trace("http.request").expect("tracing armed");
         let id = trace.id().0;
         {
-            let _fp = FailGuard::new("serve.batcher.queue_full", Trigger::Always);
+            let _fp = FailGuard::new("serve.admit.full", Trigger::Always);
             let err = service
                 .recommend_traced(UserId(0), 5, &trace)
-                .expect_err("armed queue_full must shed");
+                .expect_err("armed admit.full must shed");
             assert!(matches!(err, inbox_serve::ServeError::Overloaded));
         }
         let record = trace.finish(TraceOutcome::Shed);
@@ -81,8 +81,8 @@ mod shed {
         assert_eq!(record.outcome, TraceOutcome::Shed);
         let names: Vec<&str> = record.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(record.spans[0].name, "http.request");
-        assert!(names.contains(&"batcher.admit"), "{names:?}");
-        for never_reached in ["batcher.queue", "engine.recommend", "pool.score"] {
+        assert!(names.contains(&"serve.admit"), "{names:?}");
+        for never_reached in ["engine.recommend", "engine.resolve_box"] {
             assert!(
                 !names.contains(&never_reached),
                 "shed request must not reach {never_reached}: {names:?}"
@@ -91,7 +91,7 @@ mod shed {
         let admit = record
             .spans
             .iter()
-            .find(|s| s.name == "batcher.admit")
+            .find(|s| s.name == "serve.admit")
             .unwrap();
         assert_eq!(admit.parent, Some(0));
         assert!(admit.dur_ns > 0, "admit span never closed");

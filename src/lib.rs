@@ -26,7 +26,7 @@
 //! * [`obs`] — spans, counters, and training telemetry,
 //! * [`index`] — box-aware top-k candidate retrieval: IVF coarse partitions
 //!   with geometric box pruning and exact re-rank,
-//! * [`serve`] — the online recommendation service: request micro-batching,
+//! * [`serve`] — the online recommendation service: in-flight admission control,
 //!   a versioned interest-box cache, live interaction ingestion, and a
 //!   std-only HTTP front-end.
 //!

@@ -33,7 +33,11 @@ fn stage1_places_items_near_their_concept_boxes() {
     let mut own = 0.0f64;
     let mut other = 0.0f64;
     let mut n = 0usize;
-    let concepts: Vec<_> = ds.kg.concepts().map(|(c, _)| *c).collect();
+    // Sorted: `concepts()` iterates a hash map whose order changes from
+    // process to process, which would make the pseudo-random pick below
+    // (and so the statistic) differ between runs.
+    let mut concepts: Vec<_> = ds.kg.concepts().map(|(c, _)| *c).collect();
+    concepts.sort();
     for (idx, t) in ds.kg.irt_triples().iter().enumerate().take(400) {
         let p = trained.model.item_point_f32(t.head);
         let own_box = trained.model.concept_box_f32(t.concept());
