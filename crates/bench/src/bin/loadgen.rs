@@ -119,7 +119,8 @@ struct Report {
     /// Requests served by the post-load steady-state allocation probe.
     alloc_probe_requests: u64,
     /// Per-scope allocation counts over the probe (buffers warm, tracking
-    /// on). `engine.score` and `engine.rank` must read 0.
+    /// on). `engine.candidates`, `engine.rerank` and `engine.rank` must
+    /// read 0.
     steady_state_allocs: Vec<ScopeAllocs>,
     /// Probe allocations in the zero-alloc-by-contract scopes, per request.
     hot_scope_allocs_per_request: f64,
@@ -330,8 +331,9 @@ fn main() {
     // Steady-state allocation probe. Requests are scored on their caller's
     // thread, so each probe client first sends its request sequence once
     // untracked, warming its own scratch buffers; the tracked repeat must
-    // then attribute **zero** allocations to the `engine.score` /
-    // `engine.rank` scopes. The barrier brackets the counter reset.
+    // then attribute **zero** allocations to the `engine.candidates` /
+    // `engine.rerank` / `engine.rank` scopes. The barrier brackets the
+    // counter reset.
     let probe_per_client: u64 = if quick { 50 } else { 500 };
     let alloc_probe_requests = probe_per_client * clients as u64;
     let warmed = std::sync::Barrier::new(clients + 1);
@@ -410,7 +412,12 @@ fn main() {
         .collect();
     let hot_allocs: u64 = steady_state_allocs
         .iter()
-        .filter(|s| matches!(s.scope.as_str(), "engine.score" | "engine.rank"))
+        .filter(|s| {
+            matches!(
+                s.scope.as_str(),
+                "engine.candidates" | "engine.rerank" | "engine.rank"
+            )
+        })
         .map(|s| s.allocs)
         .sum();
     let hot_scope_allocs_per_request = hot_allocs as f64 / alloc_probe_requests as f64;

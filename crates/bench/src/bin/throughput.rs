@@ -2,14 +2,13 @@
 //! training stage and wall-clock for the inference path (`all_user_boxes`
 //! plus a full ranking pass).
 //!
-//! Writes `BENCH_throughput.json` at the repo root so successive PRs have a
-//! perf trajectory. Workflow:
+//! Writes `BENCH_throughput.json` at the repo root; `bench history` records
+//! it in the perf ledger (`BENCH_LEDGER.jsonl`) and `bench compare` diffs a
+//! fresh report against the latest entry:
 //!
 //! ```text
-//! # record the reference numbers (e.g. before an optimisation):
-//! cargo run --release -p inbox-bench --bin throughput -- --save-baseline
-//! # after the change, measure again and compare against the stored baseline:
 //! cargo run --release -p inbox-bench --bin throughput
+//! cargo run --release -p inbox-bench --bin bench -- compare
 //! ```
 //!
 //! `--quick` runs a single repetition on the tiny dataset (CI smoke mode,
@@ -26,17 +25,17 @@ use inbox_core::model::{InBoxModel, UniverseSizes};
 use inbox_core::predict::{all_user_boxes_with, HistoryCache};
 use inbox_core::sampler::{stage1_epoch, stage2_epoch, stage3_epoch, Stage1Stats};
 use inbox_core::stages::{stage1_loss, stage2_loss, stage3_loss, BatchRunner};
-use inbox_core::{InBoxConfig, InBoxScorer, ItemScorer, Quantization, ScoreScratch};
+use inbox_core::{BoxEmb, InBoxConfig, InBoxScorer, ItemScorer, Quantization, ScoreScratch};
 use inbox_data::{Dataset, SyntheticConfig};
-use inbox_eval::{evaluate_with_threads, top_k_masked_into, TopKScratch};
+use inbox_eval::evaluate_with_threads;
 use inbox_index::{auto_nprobe, BoxQuery, IvfIndex, IvfParams, QueryScratch};
 use inbox_kg::ItemId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One set of throughput measurements (higher is better except `*_ms`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct Numbers {
     stage1_samples_per_sec: f64,
     stage2_samples_per_sec: f64,
@@ -48,23 +47,12 @@ struct Numbers {
     users_ranked_per_sec: f64,
 }
 
-/// Ratios of `current` over `baseline` (for `*_ms` fields: baseline/current,
-/// so >1 always means faster).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Speedup {
-    stage1: f64,
-    stage2: f64,
-    stage3: f64,
-    user_boxes: f64,
-    rank: f64,
-}
-
 /// The candidate-index stage: full-sort vs IVF top-20 ranking on the
 /// items-scaled catalog twin (`--items-scale`, default 100x) with item
 /// points warm-started to clustered (trained-like) geometry. `rank_speedup`
 /// is full-sort wall-clock over IVF wall-clock for the same user set;
 /// `recall_at_20` is measured against the exact full-sort top-20.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct IndexedStage {
     items_scale: usize,
     n_items: usize,
@@ -86,7 +74,7 @@ struct IndexedStage {
 /// between the int8 and f32 exact top-20 (the testkit contract requires
 /// ≥ 0.99); `bound_slack` is the conservative quantized-vs-f32 score gap
 /// the IVF prune widens by.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct QuantizedStage {
     n_items: usize,
     n_users_ranked: usize,
@@ -99,22 +87,16 @@ struct QuantizedStage {
     ivf_int8_agreement_at_20: f64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct Report {
     dataset: String,
     dim: usize,
     threads: usize,
     batch_size: usize,
     reps: usize,
-    baseline: Option<Numbers>,
     current: Numbers,
-    speedup: Option<Speedup>,
-    /// Absent in reports written before the index subsystem existed.
-    #[serde(default)]
-    indexed: Option<IndexedStage>,
-    /// Absent in reports written before int8 inference existed.
-    #[serde(default)]
-    quantized: Option<QuantizedStage>,
+    indexed: IndexedStage,
+    quantized: QuantizedStage,
 }
 
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -219,10 +201,6 @@ fn measure(ds: &Dataset, cfg: &InBoxConfig, reps: usize) -> Numbers {
     }
 }
 
-/// Measures the indexed stage: build an items-scaled twin of `synth`,
-/// warm-start clustered item points (the post-training regime the index
-/// serves in — see `InBoxModel::set_item_points`), then time exact
-/// full-sort top-20 against IVF-probed top-20 over every user with a box.
 /// Mean per-user overlap fraction between two top-k rankings.
 fn overlap(want: &[Vec<ItemId>], got: &[Vec<ItemId>]) -> f64 {
     let mut hits = 0u64;
@@ -234,6 +212,56 @@ fn overlap(want: &[Vec<ItemId>], got: &[Vec<ItemId>]) -> f64 {
     hits as f64 / total.max(1) as f64
 }
 
+/// Unmasked top-`k` of every user through the serving engine's ranking
+/// walk: `select_probes` over `index`, then `rerank_refined` scoring with
+/// `scorer` (int8 or f32) and re-scoring near-threshold candidates in
+/// exact f32 within the scorer's bound slack. With the one-partition index
+/// this is the engine's full sort. Returns the rankings and the total
+/// candidate count.
+fn rank_users(
+    scorer: &ItemScorer,
+    index: &IvfIndex,
+    nprobe: usize,
+    users: &[&BoxEmb],
+    k: usize,
+) -> (Vec<Vec<ItemId>>, u64) {
+    let mut score = ScoreScratch::default();
+    let mut query = QueryScratch::default();
+    let mut ranked = Vec::new();
+    let mut candidates = 0u64;
+    let tops = users
+        .iter()
+        .map(|b| {
+            scorer.prepare_box_bounds(b, &mut score);
+            let q = BoxQuery {
+                lo: score.lo(),
+                hi: score.hi(),
+                cen: &b.cen,
+                inside_weight: scorer.inside_weight(),
+                gamma: scorer.gamma(),
+                bound_slack: scorer.bound_slack(),
+            };
+            index.select_probes(&q, nprobe, &mut query);
+            let stats = index.rerank_refined(
+                &q,
+                k,
+                &[],
+                |i| scorer.score_item_prepared(b, &score, i),
+                |i| scorer.score_item_prepared_f32(b, &score, i),
+                &mut query,
+                &mut ranked,
+            );
+            candidates += stats.candidates as u64;
+            ranked.iter().map(|&(i, _)| i).collect()
+        })
+        .collect();
+    (tops, candidates)
+}
+
+/// Measures the indexed stage: build an items-scaled twin of `synth`,
+/// warm-start clustered item points (the post-training regime the index
+/// serves in — see `InBoxModel::set_item_points`), then time exact
+/// full-sort top-20 against IVF-probed top-20 over every user with a box.
 fn measure_indexed(
     synth: &SyntheticConfig,
     cfg: &InBoxConfig,
@@ -259,7 +287,7 @@ fn measure_indexed(
     let cache = HistoryCache::build(&ds.kg, &ds.train, cfg);
     let boxes = all_user_boxes_with(&model, &cache, cfg, runner.pool());
     let scorer = ItemScorer::new(&model, cfg, ds.kg.n_items());
-    let users: Vec<&inbox_core::geometry::BoxEmb> = boxes.iter().flatten().collect();
+    let users: Vec<&BoxEmb> = boxes.iter().flatten().collect();
     let k = 20;
 
     let _span = inbox_obs::span("bench.throughput.indexed");
@@ -269,55 +297,12 @@ fn measure_indexed(
     });
     let nlist = index.nlist();
     let nprobe = auto_nprobe(nlist);
+    // The engine's full sort: the one-partition index, probed once.
+    let whole = IvfIndex::one_partition(scorer.items(), scorer.dim());
 
-    // Exact full sort through the production path (score_box_into +
-    // top_k_masked_into), unmasked on both sides.
-    let mut scores = Vec::new();
-    let mut score_scratch = ScoreScratch::default();
-    let mut topk = TopKScratch::default();
-    let mut top: Vec<ItemId> = Vec::new();
-    let (full_secs, full_tops) = best_of(reps, || {
-        let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());
-        for b in &users {
-            scorer.score_box_into(b, &mut score_scratch, &mut scores);
-            top_k_masked_into(&scores, &[], k, &mut topk, &mut top);
-            tops.push(top.clone());
-        }
-        tops
-    });
-
-    // IVF: probe selection + box-pruned exact re-rank, same users.
-    let mut qscratch = QueryScratch::default();
-    let mut ranked: Vec<(ItemId, f32)> = Vec::new();
-    let (ivf_secs, (ivf_tops, candidates)) = best_of(reps, || {
-        let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());
-        let mut candidates = 0u64;
-        for b in &users {
-            scorer.prepare_box_bounds(b, &mut score_scratch);
-            let q = BoxQuery {
-                lo: score_scratch.lo(),
-                hi: score_scratch.hi(),
-                cen: &b.cen,
-                inside_weight: scorer.inside_weight(),
-                gamma: scorer.gamma(),
-                bound_slack: 0.0,
-            };
-            index.select_probes(&q, nprobe, &mut qscratch);
-            let stats = index.rerank_refined(
-                &q,
-                k,
-                &[],
-                |i| scorer.score_item_prepared(b, &score_scratch, i),
-                |i| scorer.score_item_prepared(b, &score_scratch, i),
-                &mut qscratch,
-                &mut ranked,
-            );
-            candidates += stats.candidates as u64;
-            tops.push(ranked.iter().map(|&(i, _)| i).collect());
-        }
-        (tops, candidates)
-    });
-
+    let (full_secs, (full_tops, _)) = best_of(reps, || rank_users(&scorer, &whole, 1, &users, k));
+    let (ivf_secs, (ivf_tops, candidates)) =
+        best_of(reps, || rank_users(&scorer, &index, nprobe, &users, k));
     let indexed = IndexedStage {
         items_scale: scale,
         n_items: ds.kg.n_items(),
@@ -334,48 +319,14 @@ fn measure_indexed(
     };
 
     // Quantized stage: the same users and catalog scored through the
-    // dequantize-free int8 kernel — exact full scan first (agreement is
-    // measured against the f32 full-sort top-20 above), then the IVF
-    // re-rank with the prune widened by the scorer's bound slack.
+    // dequantize-free int8 kernel with exact f32 refine — full sort first
+    // (agreement is measured against the f32 full-sort top-20 above), then
+    // the IVF re-rank with the prune widened by the scorer's bound slack.
     let _qspan = inbox_obs::span("bench.throughput.quantized");
     let qscorer = ItemScorer::with_quantization(&model, cfg, ds.kg.n_items(), Quantization::Int8);
-    let (int8_secs, int8_tops) = best_of(reps, || {
-        let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());
-        for b in &users {
-            // The production quantized full sort: int8 scan + bounded-error
-            // refine (exact f32 re-scoring of near-threshold candidates).
-            qscorer.score_box_into(b, &mut score_scratch, &mut scores);
-            qscorer.refined_topk_into(b, &mut score_scratch, &scores, &[], k, &mut ranked);
-            tops.push(ranked.iter().map(|&(i, _)| i).collect());
-        }
-        tops
-    });
-    let (ivf8_secs, ivf8_tops) = best_of(reps, || {
-        let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());
-        for b in &users {
-            qscorer.prepare_box_bounds(b, &mut score_scratch);
-            let q = BoxQuery {
-                lo: score_scratch.lo(),
-                hi: score_scratch.hi(),
-                cen: &b.cen,
-                inside_weight: qscorer.inside_weight(),
-                gamma: qscorer.gamma(),
-                bound_slack: qscorer.bound_slack(),
-            };
-            index.select_probes(&q, nprobe, &mut qscratch);
-            index.rerank_refined(
-                &q,
-                k,
-                &[],
-                |i| qscorer.score_item_prepared(b, &score_scratch, i),
-                |i| qscorer.score_item_prepared_f32(b, &score_scratch, i),
-                &mut qscratch,
-                &mut ranked,
-            );
-            tops.push(ranked.iter().map(|&(i, _)| i).collect());
-        }
-        tops
-    });
+    let (int8_secs, (int8_tops, _)) = best_of(reps, || rank_users(&qscorer, &whole, 1, &users, k));
+    let (ivf8_secs, (ivf8_tops, _)) =
+        best_of(reps, || rank_users(&qscorer, &index, nprobe, &users, k));
     let quantized = QuantizedStage {
         n_items: ds.kg.n_items(),
         n_users_ranked: users.len(),
@@ -393,7 +344,6 @@ fn measure_indexed(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let save_baseline = args.iter().any(|a| a == "--save-baseline");
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -442,41 +392,15 @@ fn main() {
     let current = measure(&ds, &cfg, reps);
     let (indexed, quantized) = measure_indexed(&synth, &cfg, reps, items_scale);
 
-    // A stored baseline (same dataset/threads) survives re-measurement runs;
-    // `--save-baseline` replaces it with the numbers just measured.
-    let previous: Option<Report> = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    let baseline = if save_baseline {
-        Some(current.clone())
-    } else {
-        previous.and_then(|p| {
-            if p.dataset == synth.name && p.threads == threads {
-                p.baseline
-            } else {
-                None
-            }
-        })
-    };
-    let speedup = baseline.as_ref().map(|b| Speedup {
-        stage1: current.stage1_samples_per_sec / b.stage1_samples_per_sec,
-        stage2: current.stage2_samples_per_sec / b.stage2_samples_per_sec,
-        stage3: current.stage3_samples_per_sec / b.stage3_samples_per_sec,
-        user_boxes: b.user_boxes_ms / current.user_boxes_ms,
-        rank: b.rank_ms / current.rank_ms,
-    });
-
     let report = Report {
         dataset: synth.name.clone(),
         dim: cfg.dim,
         threads,
         batch_size: cfg.batch_size,
         reps,
-        baseline,
         current,
-        speedup,
-        indexed: Some(indexed),
-        quantized: Some(quantized),
+        indexed,
+        quantized,
     };
 
     println!(
@@ -489,32 +413,24 @@ fn main() {
         "user boxes {:>8.1} ms   ranking {:>8.1} ms ({:.0} users/s)",
         report.current.user_boxes_ms, report.current.rank_ms, report.current.users_ranked_per_sec,
     );
-    if let Some(s) = &report.speedup {
-        println!(
-            "speedup vs baseline: stage1 {:.2}x stage2 {:.2}x stage3 {:.2}x user_boxes {:.2}x rank {:.2}x",
-            s.stage1, s.stage2, s.stage3, s.user_boxes, s.rank
-        );
-    }
-    if let Some(ix) = &report.indexed {
-        println!(
-            "indexed @{}x catalog ({} items, {} users): nlist {} nprobe {} build {:.1} ms",
-            ix.items_scale, ix.n_items, ix.n_users_ranked, ix.nlist, ix.nprobe, ix.build_ms,
-        );
-        println!(
-            "  full sort {:>8.1} ms   ivf {:>8.1} ms   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
-            ix.full_rank_ms, ix.ivf_rank_ms, ix.rank_speedup, ix.recall_at_20, ix.mean_candidates,
-        );
-    }
-    if let Some(qz) = &report.quantized {
-        println!(
-            "quantized int8: scan {:>8.1} ms ({:.2}x vs f32)   agreement@20 {:.4}   slack {:.2e}",
-            qz.int8_scan_ms, qz.scan_speedup, qz.agreement_at_20, qz.bound_slack,
-        );
-        println!(
-            "  ivf+int8 {:>8.1} ms   agreement@20 {:.4}",
-            qz.ivf_int8_rank_ms, qz.ivf_int8_agreement_at_20,
-        );
-    }
+    let ix = &report.indexed;
+    println!(
+        "indexed @{}x catalog ({} items, {} users): nlist {} nprobe {} build {:.1} ms",
+        ix.items_scale, ix.n_items, ix.n_users_ranked, ix.nlist, ix.nprobe, ix.build_ms,
+    );
+    println!(
+        "  full sort {:>8.1} ms   ivf {:>8.1} ms   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
+        ix.full_rank_ms, ix.ivf_rank_ms, ix.rank_speedup, ix.recall_at_20, ix.mean_candidates,
+    );
+    let qz = &report.quantized;
+    println!(
+        "quantized int8: scan {:>8.1} ms ({:.2}x vs f32)   agreement@20 {:.4}   slack {:.2e}",
+        qz.int8_scan_ms, qz.scan_speedup, qz.agreement_at_20, qz.bound_slack,
+    );
+    println!(
+        "  ivf+int8 {:>8.1} ms   agreement@20 {:.4}",
+        qz.ivf_int8_rank_ms, qz.ivf_int8_agreement_at_20,
+    );
 
     let json = serde_json::to_string_pretty(&report).expect("serialise throughput report");
     std::fs::write(&out_path, json).expect("write BENCH_throughput.json");

@@ -292,10 +292,6 @@ pub struct ScoreScratch {
     qlo: Vec<f32>,
     qhi: Vec<f32>,
     qcen: Vec<f32>,
-    /// Unmasked-score buffer for `refined_topk_into`'s k-th selection.
-    kth: Vec<f32>,
-    /// `(exact score, item)` candidate buffer for `refined_topk_into`.
-    refine: Vec<(f32, u32)>,
 }
 
 impl ScoreScratch {
@@ -507,83 +503,6 @@ impl ItemScorer {
             self.gamma,
             self.inside_weight,
         )
-    }
-
-    /// Exact masked top-k from a quantized full scan — the bounded-error
-    /// ranking oracle behind `--quantize int8`.
-    ///
-    /// `scores` is this scorer's [`score_box_into`](Self::score_box_into)
-    /// output for `b` (int8 scores when quantized). The preliminary k-th
-    /// unmasked score defines a candidate threshold `kth - 2·bound_slack`;
-    /// every unmasked item at or above it is re-scored through the exact
-    /// f32 path, and the final top-k (score descending, item id ascending —
-    /// the `inbox_eval::top_k_masked` ordering) is taken over those exact
-    /// scores. Every item's int8 score sits within
-    /// [`bound_slack`](Self::bound_slack) of its f32 score, so any true
-    /// top-k item `i` has `int8_i ≥ f32_kth − slack ≥ int8_kth − 2·slack`:
-    /// the candidate set provably contains the exact f32 top-k and the
-    /// answer is bit-identical to an unquantized full sort. `mask` must be
-    /// sorted ascending.
-    pub fn refined_topk_into(
-        &self,
-        b: &BoxEmb,
-        scratch: &mut ScoreScratch,
-        scores: &[f32],
-        mask: &[ItemId],
-        k: usize,
-        out: &mut Vec<(ItemId, f32)>,
-    ) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        // Preliminary k-th unmasked coarse score via quickselect.
-        let kth_buf = &mut scratch.kth;
-        kth_buf.clear();
-        kth_buf.reserve(scores.len());
-        let mut m = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
-            while m < mask.len() && mask[m].index() < i {
-                m += 1;
-            }
-            if m < mask.len() && mask[m].index() == i {
-                continue;
-            }
-            kth_buf.push(s);
-        }
-        if kth_buf.is_empty() {
-            return;
-        }
-        let nth = k.min(kth_buf.len()) - 1;
-        let (_, kth, _) = kth_buf.select_nth_unstable_by(nth, |a, b| b.total_cmp(a));
-        let threshold = *kth - 2.0 * self.bound_slack();
-        // Collect and exactly re-score every unmasked candidate at or above
-        // the widened threshold. `refine` is taken out of the scratch so the
-        // exact scorer can borrow the prepared bounds still inside it.
-        let mut refine = std::mem::take(&mut scratch.refine);
-        refine.clear();
-        let mut m = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
-            while m < mask.len() && mask[m].index() < i {
-                m += 1;
-            }
-            if m < mask.len() && mask[m].index() == i {
-                continue;
-            }
-            if s >= threshold {
-                let exact = self.score_item_prepared_f32(b, scratch, i as u32);
-                refine.push((exact, i as u32));
-            }
-        }
-        refine.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        });
-        refine.truncate(k);
-        out.extend(refine.iter().map(|&(s, i)| (ItemId(i), s)));
-        refine.clear();
-        scratch.refine = refine;
     }
 
     /// Scores every item against one interest box, best-first by value.

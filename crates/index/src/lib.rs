@@ -33,6 +33,12 @@
 //! pruning bound is conservative), and smaller `nprobe` trades recall for
 //! latency, a contract the testkit differential suite measures.
 //!
+//! The full sort itself is served through the same two stages: it is the
+//! one-partition index ([`IvfIndex::one_partition`], every item in id
+//! order, the catalog's bounding rectangle), whose single probe is the
+//! whole catalog. `IndexMode::FullSort` and a failed IVF build both use
+//! it, so the serving engine has one ranking path for box-backed users.
+//!
 //! The rectangle bound is evaluated in `f64` with a small safety slack
 //! ([`PRUNE_SLACK`]) so `f32` rounding in the exact per-item scores can
 //! never make the pruning unsound (see DESIGN.md §12 for the derivation).
@@ -47,7 +53,8 @@ use inbox_kg::ItemId;
 /// How the serving engine generates ranking candidates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IndexMode {
-    /// Score every item (the exact O(items) baseline).
+    /// Score every item (the exact O(items) baseline), served as the
+    /// one-partition index ([`IvfIndex::one_partition`]).
     #[default]
     FullSort,
     /// IVF candidate generation with exact re-rank. `0` for either knob
@@ -275,7 +282,8 @@ impl IvfIndex {
     ///
     /// The `index.build_partition` failpoint fires per finalised
     /// partition; a fired site aborts the build with
-    /// [`BuildError::Injected`] — callers degrade to full-sort serving.
+    /// [`BuildError::Injected`] — callers degrade to full-sort serving
+    /// through [`one_partition`](Self::one_partition).
     pub fn build(items: &[f32], dim: usize, params: &IvfParams) -> Result<Self, BuildError> {
         if dim == 0 || items.is_empty() || !items.len().is_multiple_of(dim) {
             return Err(BuildError::BadShape {
@@ -383,6 +391,37 @@ impl IvfIndex {
             offsets,
             members,
         })
+    }
+
+    /// The one-partition index full-sort serving ranks through: every item
+    /// in id order in a single partition whose rectangle is the catalog's
+    /// bounding rectangle. No k-means runs and the `index.build_partition`
+    /// failpoint is never consulted, so this cannot fail; one probe visits
+    /// the whole catalog, and [`rerank_refined`](Self::rerank_refined) over
+    /// it is the exact masked top-k of every item.
+    pub fn one_partition(items: &[f32], dim: usize) -> Self {
+        let n = items.len().checked_div(dim).unwrap_or(0);
+        let mut rect_lo = vec![f32::MAX; dim];
+        let mut rect_hi = vec![f32::MIN; dim];
+        for row in items[..n * dim].chunks_exact(dim.max(1)) {
+            for (k, &v) in row.iter().enumerate() {
+                rect_lo[k] = rect_lo[k].min(v);
+                rect_hi[k] = rect_hi[k].max(v);
+            }
+        }
+        Self {
+            dim,
+            n_items: n,
+            centroids: rect_lo
+                .iter()
+                .zip(&rect_hi)
+                .map(|(l, h)| 0.5 * (l + h))
+                .collect(),
+            rect_lo,
+            rect_hi,
+            offsets: vec![0, n as u32],
+            members: (0..n as u32).collect(),
+        }
     }
 
     /// Number of partitions.
@@ -539,18 +578,24 @@ impl IvfIndex {
                     continue;
                 }
                 stats.candidates += 1;
-                let s = coarse(item);
-                let kth_now = if heap.len() == k {
-                    heap.peek().map(|e| e.score).unwrap_or(f32::NEG_INFINITY)
-                } else {
-                    f32::NEG_INFINITY
+                let cand = Cand {
+                    score: coarse(item),
+                    item,
                 };
-                if s >= kth_now - slack2 {
-                    near.push((s, item));
-                }
-                heap.push(Cand { score: s, item });
-                if heap.len() > k {
-                    heap.pop();
+                if heap.len() < k {
+                    near.push((cand.score, item));
+                    heap.push(cand);
+                } else if let Some(mut worst) = heap.peek_mut() {
+                    if cand.score >= worst.score - slack2 {
+                        near.push((cand.score, item));
+                    }
+                    // Early reject: a candidate no better than the current
+                    // worst (lower score, or equal score and larger id)
+                    // would be popped straight back out; a better one
+                    // replaces it in place.
+                    if cand < *worst {
+                        *worst = cand;
+                    }
                 }
             }
         }
@@ -890,6 +935,81 @@ mod tests {
             for (got, want) in out.iter().zip(&expected) {
                 assert_eq!(got.0, want.0, "case {case}");
                 assert_eq!(got.1.to_bits(), want.1.to_bits(), "case {case}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Tie-heavy scores (at most four distinct values) with the same
+        /// scorer twice and slack 0: the answer equals a plain sort by
+        /// (score desc, id asc) for `k` of 0, 1, the unmasked count and
+        /// past the catalog, so the early reject's tie-break at the k-th
+        /// boundary is checked. Runs over the one-partition index (items in
+        /// id order) and over an IVF partitioning that visits them out of
+        /// id order; `gamma` is huge so the rectangle bound, which knows
+        /// nothing of these scores, never prunes.
+        #[test]
+        fn rerank_equals_plain_sort_under_ties(
+            levels in proptest::collection::vec(-4.0f32..4.0, 1..=4),
+            picks in proptest::collection::vec((0usize..4, 0u32..5), 1..80),
+            k_pick in 0u8..4,
+            seed in 0u64..1_000,
+        ) {
+            let n = picks.len();
+            let scores: Vec<f32> = picks.iter().map(|&(l, _)| levels[l % levels.len()]).collect();
+            // A sorted mask of ~1/5 of the catalog.
+            let mask: Vec<ItemId> = (0..n as u32)
+                .filter(|&i| picks[i as usize].1 == 0)
+                .map(ItemId)
+                .collect();
+            let k = match k_pick {
+                0 => 0,
+                1 => 1,
+                2 => n - mask.len(),
+                _ => n + 3,
+            };
+            let mut want: Vec<(ItemId, f32)> = (0..n as u32)
+                .filter(|i| mask.binary_search(&ItemId(*i)).is_err())
+                .map(|i| (ItemId(i), scores[i as usize]))
+                .collect();
+            want.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            want.truncate(k);
+
+            let points = random_items(n, 2, seed);
+            let ivf = IvfIndex::build(&points, 2, &IvfParams { nlist: 4, ..Default::default() })
+                .expect("build");
+            let whole = IvfIndex::one_partition(&points, 2);
+            proptest::prop_assert_eq!(whole.nlist(), 1);
+            proptest::prop_assert_eq!(whole.members(0), &(0..n as u32).collect::<Vec<_>>()[..]);
+            let q = BoxQuery {
+                lo: &[0.0, 0.0],
+                hi: &[0.0, 0.0],
+                cen: &[0.0, 0.0],
+                inside_weight: 0.5,
+                gamma: 1e30,
+                bound_slack: 0.0,
+            };
+            for ix in [&whole, &ivf] {
+                let mut scratch = QueryScratch::default();
+                let mut out = Vec::new();
+                ix.select_probes(&q, ix.nlist(), &mut scratch);
+                let stats = ix.rerank_refined(
+                    &q,
+                    k,
+                    &mask,
+                    |i| scores[i as usize],
+                    |i| scores[i as usize],
+                    &mut scratch,
+                    &mut out,
+                );
+                proptest::prop_assert_eq!(stats.candidates, n - mask.len());
+                proptest::prop_assert_eq!(out.len(), want.len());
+                for (got, want) in out.iter().zip(&want) {
+                    proptest::prop_assert_eq!(got.0, want.0);
+                    proptest::prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+                }
             }
         }
     }

@@ -9,8 +9,8 @@
 //! span path* — exactly the semantic of a folded stack file:
 //!
 //! ```text
-//! http.request;engine.recommend;engine.score 184215
-//! http.request;engine.recommend;engine.rank 96044
+//! http.request;engine.recommend;engine.candidates 3120
+//! http.request;engine.recommend;engine.rerank 184215
 //! ```
 //!
 //! One line per unique root-to-span path, frames joined with `;`, value =

@@ -74,7 +74,7 @@ pub struct TraceSpan {
     pub id: u32,
     /// Index of the parent span, `None` for the root.
     pub parent: Option<u32>,
-    /// Span name, e.g. `engine.score`.
+    /// Span name, e.g. `engine.rerank`.
     pub name: String,
     /// Offset of the span's start from the trace's birth, nanoseconds.
     pub start_ns: u64,

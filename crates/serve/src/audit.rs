@@ -333,9 +333,9 @@ fn drift_tick() {
             inbox_obs::set_drift_stat("psi.score", p);
         }
     }
-    // Candidate-set sizes only exist under an IVF index, and no traffic has
-    // produced any at startup — the reference is the first observed
-    // distribution instead.
+    // Candidate-set sizes come from box-backed requests (under full sort,
+    // the unmasked catalog), and no traffic has produced any at startup —
+    // the reference is the first observed distribution instead.
     if inbox_obs::reference("engine.candidates.size").is_none() {
         if let Some(b) = inbox_obs::value_buckets("engine.candidates.size") {
             inbox_obs::set_reference("engine.candidates.size", b);

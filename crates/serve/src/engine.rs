@@ -21,11 +21,19 @@
 //! Lock order is always live → cache; no code path acquires them in the
 //! other direction, so the engine cannot deadlock against itself.
 //!
-//! The hot scoring path is allocation-free at steady state: per-thread
-//! scratch buffers back [`ItemScorer::score_box_into`] and
-//! [`top_k_masked_into`](inbox_eval::top_k_masked_into), and the
-//! `engine.score` / `engine.rank` allocation scopes make that property
-//! checkable at runtime against the instrumented global allocator.
+//! A recommend ranks through one of two paths. Users with an interest box
+//! go through the candidate index: [`IvfIndex::select_probes`] then
+//! [`IvfIndex::rerank_refined`], scoring with the active scorer and
+//! re-scoring near-threshold candidates in exact f32. Full sort is not a
+//! separate branch: it is the one-partition index
+//! ([`IvfIndex::one_partition`]), whose single probe is every item. Cold
+//! users rank the popularity vector with
+//! [`top_k_masked_into`](inbox_eval::top_k_masked_into).
+//!
+//! Both paths are allocation-free at steady state: per-thread scratch
+//! buffers back them, and the `engine.candidates` / `engine.rerank` /
+//! `engine.rank` allocation scopes make that property checkable at runtime
+//! against the instrumented global allocator.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,9 +46,7 @@ use inbox_core::{
 };
 use inbox_data::Interactions;
 use inbox_eval::{top_k_masked, top_k_masked_into, TopKScratch};
-use inbox_index::{
-    auto_nlist, auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch,
-};
+use inbox_index::{auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch};
 use inbox_kg::{Concept, ItemId, KnowledgeGraph, UserId};
 use inbox_obs::{ObsMutex, ObsRwLock};
 
@@ -119,19 +125,24 @@ struct LiveState {
     masks: Vec<Vec<ItemId>>,
 }
 
-/// Per-thread reusable buffers for the score → rank pipeline. After one
-/// warm request per thread, [`Engine::recommend_now`] performs no heap
-/// allocation inside the `engine.score` and `engine.rank` scopes.
+/// Per-thread reusable buffers for the two ranking paths. After one warm
+/// request per thread, [`Engine::recommend_now`] performs no heap
+/// allocation inside the `engine.candidates`, `engine.rerank` and
+/// `engine.rank` scopes.
 #[derive(Default)]
 struct RecommendScratch {
+    /// Prepared box bounds for the per-item scorers.
     score: ScoreScratch,
-    scores: Vec<f32>,
+    /// Probe + heap buffers of the candidate walk.
+    query: QueryScratch,
+    /// Re-ranked answer buffer of box-backed users.
+    ranked: Vec<(ItemId, f32)>,
+    /// Top-k buffers of the cold-user popularity ranking.
     topk: TopKScratch,
     out: Vec<ItemId>,
-    /// IVF probe + heap buffers (unused under [`IndexMode::FullSort`]).
-    query: QueryScratch,
-    /// Re-ranked answer buffer for the indexed path.
-    ranked: Vec<(ItemId, f32)>,
+    /// The user's mask, copied out of the live state so the read lock is
+    /// not held while ranking: ingests wait on it.
+    mask: Vec<ItemId>,
 }
 
 thread_local! {
@@ -149,11 +160,17 @@ pub struct Engine {
     popularity: Vec<f32>,
     live: ObsRwLock<LiveState>,
     cache: ObsMutex<BoxCache>,
-    /// IVF candidate index over the frozen item matrix plus the resolved
-    /// probe count. `None` under [`IndexMode::FullSort`] *and* when an IVF
-    /// build failed — the engine silently degrades to the full sort, which
-    /// is always correct (just slower).
-    index: Option<(IvfIndex, usize)>,
+    /// Candidate index over the frozen item matrix. Under
+    /// [`IndexMode::FullSort`] *and* when an IVF build failed it is the
+    /// one-partition index ([`IvfIndex::one_partition`]), so every
+    /// box-backed request ranks through the same probe → re-rank walk;
+    /// the full sort is always correct, just slower.
+    index: IvfIndex,
+    /// Partitions probed per request (1 for the one-partition index).
+    nprobe: usize,
+    /// Whether `index` holds IVF partitions rather than the one-partition
+    /// full sort.
+    ivf: bool,
     stats: StatCells,
     obs_requests: inbox_obs::RateCounter,
     obs_rebuilds: inbox_obs::RateCounter,
@@ -195,26 +212,23 @@ impl Engine {
         let masks = (0..n_users as u32)
             .map(|u| train.items_of(UserId(u)).to_vec())
             .collect();
-        let index = match serve.index {
+        let ivf = match serve.index {
             IndexMode::FullSort => None,
             IndexMode::Ivf { nlist, nprobe } => {
-                let nlist = if nlist == 0 {
-                    auto_nlist(n_items)
-                } else {
-                    nlist
-                };
                 let params = IvfParams {
                     nlist,
                     ..IvfParams::default()
                 };
                 match IvfIndex::build(scorer.items(), scorer.dim(), &params) {
+                    // The build derives `nlist == 0` and clamps `nlist` to
+                    // the catalog size, so `nprobe` clamps against the
+                    // partitions it built, not the requested count.
                     Ok(ix) => {
-                        let nprobe = if nprobe == 0 {
-                            auto_nprobe(ix.nlist())
-                        } else {
-                            nprobe
+                        let nprobe = match nprobe {
+                            0 => auto_nprobe(ix.nlist()),
+                            n => n.min(ix.nlist()),
                         };
-                        Some((ix, nprobe.clamp(1, nlist)))
+                        Some((ix, nprobe))
                     }
                     Err(_) => {
                         // Degrade, never crash: the full sort answers every
@@ -225,6 +239,10 @@ impl Engine {
                 }
             }
         };
+        let ivf_built = ivf.is_some();
+        // Full sort is the one-partition index, probed once.
+        let (index, nprobe) =
+            ivf.unwrap_or_else(|| (IvfIndex::one_partition(scorer.items(), scorer.dim()), 1));
         Self {
             model,
             config,
@@ -234,6 +252,8 @@ impl Engine {
             live: ObsRwLock::new("engine.live", LiveState { history, masks }),
             cache: ObsMutex::new("engine.cache", BoxCache::new(serve.cache_cap)),
             index,
+            nprobe,
+            ivf: ivf_built,
             stats: StatCells::default(),
             obs_requests: inbox_obs::rate_counter("serve.requests"),
             obs_rebuilds: inbox_obs::rate_counter("serve.box.rebuilds"),
@@ -267,14 +287,13 @@ impl Engine {
         self.scorer.n_items()
     }
 
-    /// The live candidate index, as `(nlist, nprobe)`: `None` under
+    /// The live IVF index, as `(nlist, nprobe)`: `None` under
     /// [`IndexMode::FullSort`] or after a failed IVF build (the engine then
-    /// serves full sorts). The resolved values reflect the auto-derivation
-    /// of `0` knobs.
+    /// serves full sorts through the one-partition index). The resolved
+    /// values reflect the auto-derivation of `0` knobs, and
+    /// `nprobe <= nlist` always holds.
     pub fn index_active(&self) -> Option<(usize, usize)> {
-        self.index
-            .as_ref()
-            .map(|(ix, nprobe)| (ix.nlist(), *nprobe))
+        self.ivf.then(|| (self.index.nlist(), self.nprobe))
     }
 
     /// The item-matrix quantization the scorer was built with.
@@ -408,114 +427,75 @@ impl Engine {
             self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
             self.obs_fallbacks.incr();
         }
-        // Score and rank through per-thread scratch buffers: after one warm
-        // request per thread, neither scope allocates. The answer's own
-        // `items` vector is materialised outside both scopes — it leaves
-        // with the caller, so it is intrinsic to the request, not overhead.
+        // Rank through per-thread scratch buffers: after one warm request
+        // per thread, no scope below allocates. The answer's own `items`
+        // vector is materialised outside the scopes — it leaves with the
+        // caller, so it is intrinsic to the request, not overhead.
         let items = SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let scratch = &mut *scratch;
-            // Indexed path: candidate generation (probe selection) + exact
-            // re-rank over the probed partitions. Only box-backed users go
-            // through the index — cold users keep the popularity fallback
-            // below, bit-for-bit unchanged. The walk scores candidates with
-            // the active scorer (int8 or f32) and re-scores the near-
-            // threshold survivors through the f32 per-item kernel of the
-            // full scan; unquantized, both closures are the same f32 score
-            // and the slack is 0. Whenever the probed partitions contain
-            // the true top-k the answer is byte-identical to
-            // `IndexMode::FullSort`.
-            if let (Some(b), Some((index, nprobe))) = (resolved.as_deref(), self.index.as_ref()) {
-                let RecommendScratch {
-                    score,
+            let RecommendScratch {
+                score,
+                query,
+                ranked,
+                topk,
+                out,
+                mask,
+            } = &mut *scratch;
+            let Some(b) = resolved.as_deref() else {
+                // Cold users rank the popularity vector, masked.
+                {
+                    let _rank_span = inbox_obs::ctx_span("engine.rank");
+                    let _rank_alloc = inbox_obs::alloc_scope("engine.rank");
+                    self.copy_mask(user, mask);
+                    top_k_masked_into(&self.popularity, mask, k, topk, out);
+                }
+                return out
+                    .iter()
+                    .map(|&i| (i, self.popularity[i.index()]))
+                    .collect();
+            };
+            // Box-backed users: candidate generation (probe selection) +
+            // exact re-rank over the probed partitions. Full sort is the
+            // one-partition index, whose single probe is every item. The
+            // walk scores candidates with the active scorer (int8 or f32)
+            // and re-scores the near-threshold survivors through the f32
+            // per-item kernel; unquantized, both closures are the same f32
+            // score and the slack is 0. Whenever the probed partitions
+            // contain the true top-k the answer is byte-identical to the
+            // exact reference ranking.
+            self.scorer.prepare_box_bounds(b, score);
+            let q = BoxQuery {
+                lo: score.lo(),
+                hi: score.hi(),
+                cen: &b.cen,
+                inside_weight: self.scorer.inside_weight(),
+                gamma: self.scorer.gamma(),
+                bound_slack: self.scorer.bound_slack(),
+            };
+            {
+                let _cand_span = inbox_obs::ctx_span("engine.candidates");
+                let _cand_alloc = inbox_obs::alloc_scope("engine.candidates");
+                self.index.select_probes(&q, self.nprobe, query);
+            }
+            let rerank_stats = {
+                let _rerank_span = inbox_obs::ctx_span("engine.rerank");
+                let _rerank_alloc = inbox_obs::alloc_scope("engine.rerank");
+                self.copy_mask(user, mask);
+                self.index.rerank_refined(
+                    &q,
+                    k,
+                    mask,
+                    |i| self.scorer.score_item_prepared(b, score, i),
+                    |i| self.scorer.score_item_prepared_f32(b, score, i),
                     query,
                     ranked,
-                    ..
-                } = scratch;
-                self.scorer.prepare_box_bounds(b, score);
-                let q = BoxQuery {
-                    lo: score.lo(),
-                    hi: score.hi(),
-                    cen: &b.cen,
-                    inside_weight: self.scorer.inside_weight(),
-                    gamma: self.scorer.gamma(),
-                    bound_slack: self.scorer.bound_slack(),
-                };
-                {
-                    let _cand_span = inbox_obs::ctx_span("engine.candidates");
-                    let _cand_alloc = inbox_obs::alloc_scope("engine.candidates");
-                    index.select_probes(&q, *nprobe, query);
-                }
-                let rerank_stats = {
-                    let _rerank_span = inbox_obs::ctx_span("engine.rerank");
-                    let _rerank_alloc = inbox_obs::alloc_scope("engine.rerank");
-                    let live = self.live.read().unwrap();
-                    index.rerank_refined(
-                        &q,
-                        k,
-                        &live.masks[user.index()],
-                        |i| self.scorer.score_item_prepared(b, score, i),
-                        |i| self.scorer.score_item_prepared_f32(b, score, i),
-                        query,
-                        ranked,
-                    )
-                };
-                inbox_obs::record_value("engine.candidates.size", rerank_stats.candidates as u64);
-                self.obs_index_requests.incr();
-                self.obs_index_pruned
-                    .add(rerank_stats.pruned_partitions as u64);
-                return ranked.clone();
-            }
-            {
-                let _score_span = inbox_obs::ctx_span("engine.score");
-                let _score_alloc = inbox_obs::alloc_scope("engine.score");
-                match resolved.as_deref() {
-                    Some(b) => {
-                        self.scorer
-                            .score_box_into(b, &mut scratch.score, &mut scratch.scores)
-                    }
-                    None => {
-                        scratch.scores.clear();
-                        scratch.scores.extend_from_slice(&self.popularity);
-                    }
-                }
-            }
-            {
-                let _rank_span = inbox_obs::ctx_span("engine.rank");
-                let _rank_alloc = inbox_obs::alloc_scope("engine.rank");
-                let live = self.live.read().unwrap();
-                let mask = &live.masks[user.index()];
-                // Quantized full sort goes through the bounded-error
-                // ranking oracle: the int8 scan above selected candidates,
-                // the refine pass re-scores near-threshold items in f32 and
-                // returns the exact f32 top-k. Cold users never reach this
-                // branch (popularity scores are f32 either way).
-                if let Some(b) = resolved.as_deref() {
-                    if self.scorer.quantization() != inbox_core::Quantization::None {
-                        self.scorer.refined_topk_into(
-                            b,
-                            &mut scratch.score,
-                            &scratch.scores,
-                            mask,
-                            k,
-                            &mut scratch.ranked,
-                        );
-                        return scratch.ranked.clone();
-                    }
-                }
-                top_k_masked_into(
-                    &scratch.scores,
-                    mask,
-                    k,
-                    &mut scratch.topk,
-                    &mut scratch.out,
-                );
-            }
-            scratch
-                .out
-                .iter()
-                .map(|&i| (i, scratch.scores[i.index()]))
-                .collect()
+                )
+            };
+            inbox_obs::record_value("engine.candidates.size", rerank_stats.candidates as u64);
+            self.obs_index_requests.incr();
+            self.obs_index_pruned
+                .add(rerank_stats.pruned_partitions as u64);
+            ranked.clone()
         });
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.obs_requests.incr();
@@ -525,6 +505,12 @@ impl Engine {
             fallback,
             version,
         })
+    }
+
+    /// Copies `user`'s current mask into `out` under a brief live read lock.
+    fn copy_mask(&self, user: UserId, out: &mut Vec<ItemId>) {
+        out.clear();
+        out.extend_from_slice(&self.live.read().unwrap().masks[user.index()]);
     }
 
     /// Reference answer computed with a fresh forward pass, bypassing the

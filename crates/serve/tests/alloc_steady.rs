@@ -5,16 +5,17 @@
 //! the caller's thread, so the callers here are long-lived: a sequential
 //! caller plus four concurrent ones that live across every round. After
 //! warmup rounds have grown each caller's per-thread scratch buffers and
-//! registered every metric cell, the `engine.score` and `engine.rank`
-//! allocation scopes must observe **zero** further allocations — the
-//! property the per-thread scratch design claims by construction, checked
-//! here against the real allocator. Lives in its own test binary because the global tracking
+//! registered every metric cell, the `engine.candidates`, `engine.rerank`
+//! and `engine.rank` allocation scopes (box-backed users, then cold users)
+//! must observe **zero** further allocations — the property the per-thread
+//! scratch design claims by construction, checked here against the real
+//! allocator. Lives in its own test binary because the global tracking
 //! toggle and the scope counters are process-wide.
 
 use std::sync::Barrier;
 
 use inbox_core::{InBoxConfig, InBoxModel, UniverseSizes};
-use inbox_data::{Dataset, SyntheticConfig};
+use inbox_data::{Dataset, Interactions, SyntheticConfig};
 use inbox_kg::UserId;
 use inbox_serve::{Engine, ServeConfig, Service};
 
@@ -23,7 +24,7 @@ static ALLOC: inbox_obs::InstrumentedAlloc = inbox_obs::InstrumentedAlloc;
 
 /// The steady-state scopes under test and the per-scope allocation counts
 /// at a point in time.
-const HOT_SCOPES: [&str; 2] = ["engine.score", "engine.rank"];
+const HOT_SCOPES: [&str; 3] = ["engine.candidates", "engine.rerank", "engine.rank"];
 
 /// Concurrent callers that live across every round.
 const CALLERS: u32 = 4;
@@ -32,7 +33,10 @@ const CALLERS: u32 = 4;
 /// paths (cache hits as well as rebuilds).
 const WARMUP_ROUNDS: usize = 2;
 
-fn hot_allocs() -> [u64; 2] {
+/// Users whose history is dropped, so every sweep also ranks cold users.
+const COLD_USERS: u32 = 3;
+
+fn hot_allocs() -> [u64; 3] {
     HOT_SCOPES.map(|s| {
         inbox_obs::alloc_scope_stats(s)
             .map(|st| st.allocs)
@@ -66,8 +70,19 @@ fn steady_state_serving_allocates_nothing_in_the_hot_scopes() {
         n_users: ds.train.n_users(),
     };
     let model = InBoxModel::new(sizes, &cfg);
+    let train = Interactions::from_pairs(
+        ds.train.n_users(),
+        ds.train.n_items(),
+        (COLD_USERS..ds.train.n_users() as u32).flat_map(|u| {
+            ds.train
+                .items_of(UserId(u))
+                .iter()
+                .map(move |&i| (UserId(u), i))
+        }),
+    )
+    .unwrap();
     let serve_cfg = ServeConfig::default();
-    let engine = Engine::new(model, cfg, ds.kg.clone(), &ds.train, &serve_cfg);
+    let engine = Engine::new(model, cfg, ds.kg.clone(), &train, &serve_cfg);
     let service = Service::start(engine, &serve_cfg);
     let n_users = ds.train.n_users() as u32;
 

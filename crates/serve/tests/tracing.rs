@@ -1,6 +1,6 @@
 //! Flight-recorder integration tests: a traced HTTP request must leave a
 //! complete causal span tree behind — HTTP accept → parse → admission →
-//! engine resolve/score/rank → response write — and slow requests must be
+//! engine resolve/candidates/rerank → response write — and slow requests must be
 //! promoted and retained in the notable ring.
 //!
 //! Everything here runs in one `#[test]` because the flight recorder, the
@@ -73,13 +73,14 @@ fn assert_recommend_tree(trace: &TraceRecord) {
     }
 
     // Engine stages form a subtree under the root: recommend owns
-    // resolve/score/rank, and resolve owns exactly one of cache_hit/rebuild.
+    // resolve/candidates/rerank, and resolve owns exactly one of
+    // cache_hit/rebuild.
     let recommend = span(trace, "engine.recommend");
     assert_eq!(recommend.parent, Some(0), "engine.recommend hangs off root");
     let resolve = span(trace, "engine.resolve_box");
     assert_eq!(resolve.parent, Some(recommend.id));
-    assert_eq!(span(trace, "engine.score").parent, Some(recommend.id));
-    assert_eq!(span(trace, "engine.rank").parent, Some(recommend.id));
+    assert_eq!(span(trace, "engine.candidates").parent, Some(recommend.id));
+    assert_eq!(span(trace, "engine.rerank").parent, Some(recommend.id));
     let hit = trace.spans.iter().find(|s| s.name == "engine.cache_hit");
     let rebuild = trace.spans.iter().find(|s| s.name == "engine.rebuild");
     let leaf = hit

@@ -11,7 +11,7 @@
 use inbox_autodiff::Tape;
 use inbox_core::predict::user_box_from_history;
 use inbox_core::{HistoryCache, InBoxConfig, InBoxModel, UniverseSizes};
-use inbox_data::{Dataset, SyntheticConfig};
+use inbox_data::{Dataset, Interactions, SyntheticConfig};
 use inbox_kg::{ItemId, UserId};
 use inbox_serve::{Engine, ServeConfig};
 
@@ -47,6 +47,20 @@ pub fn engine(seed: u64, serve: &ServeConfig) -> (Dataset, InBoxConfig, Engine) 
     let (ds, model, cfg) = fixture(seed);
     let engine = Engine::new(model, cfg.clone(), ds.kg.clone(), &ds.train, serve);
     (ds, cfg, engine)
+}
+
+/// `train` with the first `n_cold` users' interactions dropped: those users
+/// exist but are cold, so serving answers them from the popularity
+/// fallback.
+pub fn with_cold_users(train: &Interactions, n_cold: u32) -> Interactions {
+    let pairs = (n_cold..train.n_users() as u32).flat_map(|u| {
+        train
+            .items_of(UserId(u))
+            .iter()
+            .map(move |&i| (UserId(u), i))
+    });
+    Interactions::from_pairs(train.n_users(), train.n_items(), pairs)
+        .expect("a subset of valid interactions")
 }
 
 /// Overwrites `model`'s item points with deterministic **clustered**

@@ -54,9 +54,10 @@ pub const ALL: &[&str] = &[
 pub const TRACE_SPANS: &[&str] = &[
     // Box cache hit marker (zero-duration leaf under resolve_box).
     "engine.cache_hit",
-    // IVF candidate generation: probe selection over partition centroids.
+    // Candidate generation for box-backed users: probe selection over the
+    // index partitions (one partition under full sort).
     "engine.candidates",
-    // Mask-and-top-K ranking.
+    // Cold users: mask-and-top-K over the popularity vector.
     "engine.rank",
     // Interest-box forward pass on a cache miss.
     "engine.rebuild",
@@ -66,8 +67,6 @@ pub const TRACE_SPANS: &[&str] = &[
     "engine.rerank",
     // Cache lookup + lazy rebuild.
     "engine.resolve_box",
-    // Scoring every item against the resolved box.
-    "engine.score",
     // Request-head parse on the connection thread.
     "http.parse",
     // Root span: one per accepted connection.
@@ -84,11 +83,11 @@ pub const TRACE_SPANS: &[&str] = &[
 /// both crates and checks the runtime registry so that a scope nobody
 /// lists — or a listed scope nobody enters — fails CI.
 pub const ALLOC_SCOPES: &[&str] = &[
-    // serve::engine::recommend_now — IVF probe selection into per-thread
-    // scratch (allocation-free at steady state).
+    // serve::engine::recommend_now — probe selection for box-backed users
+    // into per-thread scratch (allocation-free at steady state).
     "engine.candidates",
-    // serve::engine::recommend_now — mask-and-top-K ranking into per-
-    // thread scratch (allocation-free at steady state).
+    // serve::engine::recommend_now — cold users' popularity mask-and-top-K
+    // into per-thread scratch (allocation-free at steady state).
     "engine.rank",
     // serve::engine::resolve_box — interest-box forward pass on a cache
     // miss (allocates freely; attributed, not bounded).
@@ -96,10 +95,6 @@ pub const ALLOC_SCOPES: &[&str] = &[
     // serve::engine::recommend_now — box-pruned exact re-rank into per-
     // thread scratch (allocation-free at steady state).
     "engine.rerank",
-    // serve::engine::recommend_now — scoring every item against the
-    // resolved box into per-thread scratch (allocation-free at steady
-    // state).
-    "engine.score",
     // core::trainer — the three training-stage epoch loops.
     "trainer.stage1",
     "trainer.stage2",

@@ -48,17 +48,18 @@ fn alloc_scope_inventory_matches_sources() {
     );
 }
 
-/// Direction 2: a tiny end-to-end run (train + batched serving) enters
-/// every listed scope, so the registry knows them all afterwards. Serving
-/// runs both candidate-generation modes: the full-sort engine enters
-/// `engine.score`/`engine.rank`, the IVF engine `engine.candidates`/
-/// `engine.rerank`.
+/// Direction 2: a tiny end-to-end run (train + serving) enters every
+/// listed scope, so the registry knows them all afterwards. Serving runs
+/// both ranking paths and both candidate-generation modes: box-backed
+/// users enter `engine.candidates`/`engine.rerank` (under full sort and
+/// IVF), and user 0, whose history is dropped, enters `engine.rank`.
 #[test]
 fn end_to_end_run_registers_every_listed_scope() {
     let ds = harness::tiny_dataset(93);
     let trained = train(&ds, InBoxConfig::tiny_test());
     let serve_cfg = ServeConfig::default();
-    let engine = inbox_serve::Engine::from_trained(trained, ds.kg.clone(), &ds.train, &serve_cfg);
+    let train_cold = harness::with_cold_users(&ds.train, 1);
+    let engine = inbox_serve::Engine::from_trained(trained, ds.kg.clone(), &train_cold, &serve_cfg);
     let service = Arc::new(Service::start(engine, &serve_cfg));
     for u in 0..ds.train.n_users().min(4) as u32 {
         service.recommend(UserId(u), 5).expect("served answer");

@@ -128,6 +128,30 @@ fn ivf_full_probe_is_byte_identical_to_full_sort() {
     }
 }
 
+/// Oversized IVF knobs clamp: the build caps `nlist` at the catalog size,
+/// and `nprobe` is clamped against the partitions actually built, so
+/// `nprobe <= nlist` holds and probing everything stays exact.
+#[test]
+fn oversized_ivf_knobs_clamp_to_the_built_partitions() {
+    let serve = ServeConfig {
+        index: IndexMode::Ivf {
+            nlist: 100_000,
+            nprobe: 90_000,
+        },
+        ..ServeConfig::default()
+    };
+    let (ds, _cfg, engine) = harness::engine(811, &serve);
+    let (nlist, nprobe) = engine.index_active().expect("IVF build succeeds");
+    assert_eq!(nlist, ds.kg.n_items(), "nlist clamps to the catalog size");
+    assert!(nprobe <= nlist, "nprobe {nprobe} exceeds nlist {nlist}");
+    assert_eq!(nprobe, nlist);
+    for u in 0..ds.train.n_users() as u32 {
+        let served = engine.recommend_now(UserId(u), 20).unwrap();
+        let oracle = engine.oracle(UserId(u), 20).unwrap();
+        assert_answers_bit_identical(&served, &oracle, &format!("user {u}"));
+    }
+}
+
 /// Contract 3: recall@20 ≥ 0.95 at the auto-derived `nprobe`, measured
 /// over ≥1000 users with history, mirrored into obs counters.
 ///
@@ -198,18 +222,7 @@ fn cold_users_bypass_the_index_unchanged() {
     // Rebuild the interaction set with the first 50 users' histories
     // dropped: those users exist but are cold.
     let cold_users = 50u32;
-    let pairs: Vec<_> = (0..ds.train.n_users() as u32)
-        .filter(|&u| u >= cold_users)
-        .flat_map(|u| {
-            ds.train
-                .items_of(UserId(u))
-                .iter()
-                .map(move |&i| (UserId(u), i))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let train = inbox_data::Interactions::from_pairs(ds.train.n_users(), ds.train.n_items(), pairs)
-        .unwrap();
+    let train = harness::with_cold_users(&ds.train, cold_users);
     let cfg = inbox_core::InBoxConfig::tiny_test();
     let mk = |index: IndexMode| {
         let model = inbox_core::InBoxModel::new(harness::sizes_of(&ds), &cfg);

@@ -309,18 +309,7 @@ fn cold_users_bypass_quantization_byte_identically() {
     let ds = agreement_dataset(919);
     // Drop the first 50 users' histories: they exist but are cold.
     let cold_users = 50u32;
-    let pairs: Vec<_> = (0..ds.train.n_users() as u32)
-        .filter(|&u| u >= cold_users)
-        .flat_map(|u| {
-            ds.train
-                .items_of(UserId(u))
-                .iter()
-                .map(move |&i| (UserId(u), i))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let train = inbox_data::Interactions::from_pairs(ds.train.n_users(), ds.train.n_items(), pairs)
-        .unwrap();
+    let train = harness::with_cold_users(&ds.train, cold_users);
     let cfg = inbox_core::InBoxConfig::tiny_test();
     let mk = |quantize: Quantization| {
         let model = inbox_core::InBoxModel::new(harness::sizes_of(&ds), &cfg);
