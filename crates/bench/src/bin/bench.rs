@@ -47,8 +47,17 @@ fn git_rev(root: &Path) -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// `(bench name, flattened metrics)` for every report file that exists.
-fn load_reports(root: &Path, extra: &[String]) -> Vec<(String, BTreeMap<String, f64>)> {
+/// One report file, as the ledger sees it.
+struct Report {
+    bench: String,
+    /// The report's `simd_backend` (empty if it has none).
+    simd_backend: String,
+    /// Flattened numeric metrics.
+    metrics: BTreeMap<String, f64>,
+}
+
+/// Every report file that exists.
+fn load_reports(root: &Path, extra: &[String]) -> Vec<Report> {
     let mut files: Vec<(String, PathBuf)> = DEFAULT_REPORTS
         .iter()
         .map(|(bench, file)| (bench.to_string(), root.join(file)))
@@ -68,7 +77,11 @@ fn load_reports(root: &Path, extra: &[String]) -> Vec<(String, BTreeMap<String, 
             continue;
         };
         match serde_json::from_str::<serde_json::Value>(&text) {
-            Ok(json) => out.push((bench, ledger::flatten(&json))),
+            Ok(json) => out.push(Report {
+                bench,
+                simd_backend: ledger::report_backend(&json),
+                metrics: ledger::flatten(&json),
+            }),
             Err(e) => eprintln!("bench: skipping {}: {e}", path.display()),
         }
     }
@@ -93,17 +106,22 @@ fn history(args: &[String]) {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut lines = String::new();
-    for (bench, metrics) in &reports {
+    for report in reports {
+        println!(
+            "recorded {}: {} metrics at rev {rev}",
+            report.bench,
+            report.metrics.len()
+        );
         let entry = LedgerEntry {
             rev: rev.clone(),
-            bench: bench.clone(),
+            bench: report.bench,
             unix_secs,
             note: note.clone(),
-            metrics: metrics.clone(),
+            simd_backend: report.simd_backend,
+            metrics: report.metrics,
         };
         lines.push_str(&ledger::format_entry(&entry));
         lines.push('\n');
-        println!("recorded {bench}: {} metrics at rev {rev}", metrics.len());
     }
     let mut existing = std::fs::read_to_string(&ledger_path).unwrap_or_default();
     existing.push_str(&lines);
@@ -181,13 +199,29 @@ fn compare(args: &[String]) {
     let mut regressions = 0usize;
     let mut compared = 0usize;
     let mut json_benches: Vec<String> = Vec::new();
-    for (bench, current) in load_reports(&root, &extra) {
+    for Report {
+        bench,
+        simd_backend,
+        metrics: current,
+    } in load_reports(&root, &extra)
+    {
         let Some(base) = baselines.get(&bench) else {
             if !json {
                 println!("{bench}: no ledger baseline, skipping");
             }
             continue;
         };
+        // Timings from different SIMD backends differ by design, so they
+        // are never diffed against each other.
+        if !base.simd_backend.is_empty() && base.simd_backend != simd_backend {
+            if !json {
+                println!(
+                    "{bench}: baseline ran on simd backend {:?}, this report on {simd_backend:?}; not comparable, skipping",
+                    base.simd_backend
+                );
+            }
+            continue;
+        }
         let rows = ledger::compare(&base.metrics, &current, threshold);
         let flagged: Vec<&Comparison> = rows.iter().filter(|r| r.regressed).collect();
         compared += rows.len();

@@ -96,6 +96,9 @@ struct AuditReport {
 struct Report {
     dataset: String,
     dim: usize,
+    /// SIMD lane backend the engine dispatched to (`avx2`, `sse2`,
+    /// `scalar`): latencies from different backends are not comparable.
+    simd_backend: String,
     clients: usize,
     requests_per_client: usize,
     ingest_every: usize,
@@ -428,6 +431,7 @@ fn main() {
     let report = Report {
         dataset: synth.name.clone(),
         dim,
+        simd_backend: inbox_core::simd::backend().to_string(),
         clients,
         requests_per_client,
         ingest_every,

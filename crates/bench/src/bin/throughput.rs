@@ -24,6 +24,7 @@ use inbox_autodiff::Adam;
 use inbox_core::model::{InBoxModel, UniverseSizes};
 use inbox_core::predict::{all_user_boxes_with, HistoryCache};
 use inbox_core::sampler::{stage1_epoch, stage2_epoch, stage3_epoch, Stage1Stats};
+use inbox_core::simd::{self, Lanes, WithLanes};
 use inbox_core::stages::{stage1_loss, stage2_loss, stage3_loss, BatchRunner};
 use inbox_core::{BoxEmb, InBoxConfig, InBoxScorer, ItemScorer, Quantization, ScoreScratch};
 use inbox_data::{Dataset, SyntheticConfig};
@@ -91,6 +92,9 @@ struct QuantizedStage {
 struct Report {
     dataset: String,
     dim: usize,
+    /// SIMD lane backend the ranking walks ran on (`avx2`, `sse2`,
+    /// `scalar`): timings from different backends are not comparable.
+    simd_backend: String,
     threads: usize,
     batch_size: usize,
     reps: usize,
@@ -215,9 +219,9 @@ fn overlap(want: &[Vec<ItemId>], got: &[Vec<ItemId>]) -> f64 {
 /// Unmasked top-`k` of every user through the serving engine's ranking
 /// walk: `select_probes` over `index`, then `rerank_refined` scoring with
 /// `scorer` (int8 or f32) and re-scoring near-threshold candidates in
-/// exact f32 within the scorer's bound slack. With the one-partition index
-/// this is the engine's full sort. Returns the rankings and the total
-/// candidate count.
+/// exact f32 within the scorer's bound slack, on the lane backend the
+/// engine dispatches to. With the one-partition index this is the
+/// engine's full sort. Returns the rankings and the total candidate count.
 fn rank_users(
     scorer: &ItemScorer,
     index: &IvfIndex,
@@ -225,13 +229,41 @@ fn rank_users(
     users: &[&BoxEmb],
     k: usize,
 ) -> (Vec<Vec<ItemId>>, u64) {
-    let mut score = ScoreScratch::default();
-    let mut query = QueryScratch::default();
-    let mut ranked = Vec::new();
-    let mut candidates = 0u64;
-    let tops = users
-        .iter()
-        .map(|b| {
+    simd::dispatch(RankUsers {
+        scorer,
+        index,
+        nprobe,
+        users,
+        k,
+    })
+}
+
+struct RankUsers<'a> {
+    scorer: &'a ItemScorer,
+    index: &'a IvfIndex,
+    nprobe: usize,
+    users: &'a [&'a BoxEmb],
+    k: usize,
+}
+
+impl WithLanes for RankUsers<'_> {
+    type Output = (Vec<Vec<ItemId>>, u64);
+
+    #[inline(always)]
+    fn run<L: Lanes>(self) -> Self::Output {
+        let Self {
+            scorer,
+            index,
+            nprobe,
+            users,
+            k,
+        } = self;
+        let mut score = ScoreScratch::default();
+        let mut query = QueryScratch::default();
+        let mut ranked = Vec::new();
+        let mut candidates = 0u64;
+        let mut tops = Vec::with_capacity(users.len());
+        for b in users {
             scorer.prepare_box_bounds(b, &mut score);
             let q = BoxQuery {
                 lo: score.lo(),
@@ -246,16 +278,16 @@ fn rank_users(
                 &q,
                 k,
                 &[],
-                |i| scorer.score_item_prepared(b, &score, i),
-                |i| scorer.score_item_prepared_f32(b, &score, i),
+                |i| scorer.score_item_prepared_with::<L>(b, &score, i),
+                |i| scorer.score_item_prepared_f32_with::<L>(b, &score, i),
                 &mut query,
                 &mut ranked,
             );
             candidates += stats.candidates as u64;
-            ranked.iter().map(|&(i, _)| i).collect()
-        })
-        .collect();
-    (tops, candidates)
+            tops.push(ranked.iter().map(|&(i, _)| i).collect());
+        }
+        (tops, candidates)
+    }
 }
 
 /// Measures the indexed stage: build an items-scaled twin of `synth`,
@@ -395,6 +427,7 @@ fn main() {
     let report = Report {
         dataset: synth.name.clone(),
         dim: cfg.dim,
+        simd_backend: inbox_core::simd::backend().to_string(),
         threads,
         batch_size: cfg.batch_size,
         reps,

@@ -105,6 +105,10 @@ pub struct LedgerEntry {
     pub unix_secs: u64,
     /// Free-form annotation (`--note`).
     pub note: String,
+    /// The SIMD lane backend the run used (`avx2`, `sse2`, `scalar`), from
+    /// the report's `simd_backend` field; empty for reports that predate
+    /// it. Runs on different backends are not compared.
+    pub simd_backend: String,
     /// Flattened numeric metrics.
     pub metrics: BTreeMap<String, f64>,
 }
@@ -130,12 +134,16 @@ fn escape(s: &str) -> String {
 /// Renders an entry as one JSONL line (no trailing newline).
 pub fn format_entry(e: &LedgerEntry) -> String {
     let mut out = format!(
-        "{{\"rev\":\"{}\",\"bench\":\"{}\",\"unix_secs\":{},\"note\":\"{}\",\"metrics\":{{",
+        "{{\"rev\":\"{}\",\"bench\":\"{}\",\"unix_secs\":{},\"note\":\"{}\",",
         escape(&e.rev),
         escape(&e.bench),
         e.unix_secs,
         escape(&e.note)
     );
+    if !e.simd_backend.is_empty() {
+        let _ = write!(out, "\"simd_backend\":\"{}\",", escape(&e.simd_backend));
+    }
+    out.push_str("\"metrics\":{");
     for (i, (k, v)) in e.metrics.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -169,8 +177,18 @@ pub fn parse_entry(line: &str) -> Result<LedgerEntry, String> {
         bench: strf("bench")?,
         unix_secs: field("unix_secs")?.as_f64().unwrap_or(0.0) as u64,
         note: strf("note")?,
+        simd_backend: report_backend(&json),
         metrics,
     })
+}
+
+/// A report's (or ledger line's) `simd_backend` string, empty if absent.
+pub fn report_backend(json: &Value) -> String {
+    json.as_object()
+        .and_then(|o| o.get("simd_backend"))
+        .and_then(Value::as_str)
+        .unwrap_or_default()
+        .to_string()
 }
 
 /// One metric's baseline-vs-current verdict.
@@ -307,6 +325,7 @@ mod tests {
             bench: "serve".into(),
             unix_secs: 1_754_000_000,
             note: "full run, \"quoted\"".into(),
+            simd_backend: "avx2".into(),
             metrics: [("qps".to_string(), 1234.5), ("latency_ms.p99".into(), 7.25)]
                 .into_iter()
                 .collect(),
@@ -314,6 +333,14 @@ mod tests {
         let line = format_entry(&entry);
         assert!(!line.contains('\n'));
         assert_eq!(parse_entry(&line).expect("roundtrip"), entry);
+        // Lines recorded before reports named their backend still parse.
+        let legacy = LedgerEntry {
+            simd_backend: String::new(),
+            ..entry
+        };
+        let line = format_entry(&legacy);
+        assert!(!line.contains("simd_backend"));
+        assert_eq!(parse_entry(&line).expect("legacy roundtrip"), legacy);
     }
 
     #[test]

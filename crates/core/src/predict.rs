@@ -20,7 +20,7 @@ use crate::config::InBoxConfig;
 use crate::geometry::BoxEmb;
 use crate::model::{InBoxModel, ItemBoxParts};
 use crate::pool::WorkerPool;
-use crate::simd::{self, Quantization, QuantizedItems};
+use crate::simd::{self, F32x8, Lanes, Quantization, QuantizedItems};
 
 /// Precomputed per-user history: the first `max_history_infer` training
 /// items, each with its first `max_concepts` concepts — exactly the history
@@ -314,8 +314,8 @@ impl ScoreScratch {
 /// function is what makes candidate re-ranking bit-identical to the full
 /// sort, and sharing the kernel with [`geometry::d_pb_weighted`] makes
 /// the matrix snapshot bit-identical to the per-item reference path too.
-#[inline]
-fn score_row(
+#[inline(always)]
+fn score_row<L: Lanes>(
     row: &[f32],
     cen: &[f32],
     lo: &[f32],
@@ -323,7 +323,7 @@ fn score_row(
     gamma: f32,
     inside_weight: f32,
 ) -> f32 {
-    let (out, inside) = simd::d_pb_bounds_parts(row, cen, lo, hi);
+    let (out, inside) = simd::d_pb_bounds_parts_with::<L>(row, cen, lo, hi);
     gamma - (out + inside_weight * inside)
 }
 
@@ -474,8 +474,21 @@ impl ItemScorer {
     /// arithmetic and operation order to the full-scan path, so the score
     /// is bit-identical to `score_box_into`'s entry for the same item.
     pub fn score_item_prepared(&self, b: &BoxEmb, scratch: &ScoreScratch, item: u32) -> f32 {
+        self.score_item_prepared_with::<F32x8>(b, scratch, item)
+    }
+
+    /// [`score_item_prepared`](Self::score_item_prepared) on lane type `L`
+    /// (bit-identical for every `L`), for hot paths run through
+    /// [`simd::dispatch`].
+    #[inline(always)]
+    pub fn score_item_prepared_with<L: Lanes>(
+        &self,
+        b: &BoxEmb,
+        scratch: &ScoreScratch,
+        item: u32,
+    ) -> f32 {
         if let Some(q) = &self.quant {
-            let (out, inside) = simd::quantized_d_pb_parts(
+            let (out, inside) = simd::quantized_d_pb_parts_with::<L>(
                 q.row(item),
                 q.scales(),
                 &scratch.qlo,
@@ -484,7 +497,7 @@ impl ItemScorer {
             );
             return self.gamma - (out + self.inside_weight * inside);
         }
-        self.score_item_prepared_f32(b, scratch, item)
+        self.score_item_prepared_f32_with::<L>(b, scratch, item)
     }
 
     /// The **f32** per-item score for a prepared box, regardless of the
@@ -493,9 +506,21 @@ impl ItemScorer {
     /// Bit-identical to [`score_item_prepared`](Self::score_item_prepared)
     /// when the scorer is unquantized.
     pub fn score_item_prepared_f32(&self, b: &BoxEmb, scratch: &ScoreScratch, item: u32) -> f32 {
+        self.score_item_prepared_f32_with::<F32x8>(b, scratch, item)
+    }
+
+    /// [`score_item_prepared_f32`](Self::score_item_prepared_f32) on lane
+    /// type `L` (bit-identical for every `L`).
+    #[inline(always)]
+    pub fn score_item_prepared_f32_with<L: Lanes>(
+        &self,
+        b: &BoxEmb,
+        scratch: &ScoreScratch,
+        item: u32,
+    ) -> f32 {
         let d = self.dim;
         let row = &self.items[item as usize * d..(item as usize + 1) * d];
-        score_row(
+        score_row::<L>(
             row,
             &b.cen,
             &scratch.lo,
@@ -544,7 +569,7 @@ impl ItemScorer {
             return;
         }
         for row in self.items.chunks_exact(self.dim) {
-            out_scores.push(score_row(
+            out_scores.push(score_row::<F32x8>(
                 row,
                 &b.cen,
                 &scratch.lo,

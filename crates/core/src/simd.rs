@@ -51,8 +51,12 @@
 //! re-rank could have ranked into the top k.
 
 pub use inbox_autodiff::simd::{
-    d_pb_bounds_parts, d_pb_box_parts, d_pb_row_interleaved, l1_row, pmax, pmin, relu0, F32x8,
+    backend, d_pb_bounds_parts, d_pb_bounds_parts_with, d_pb_box_parts, d_pb_box_parts_with,
+    d_pb_row_interleaved, d_pb_row_interleaved_with, dispatch, l1_row, l1_row_with, pmax, pmin,
+    relu0, F32x8, F32x8Scalar, Lanes, WithLanes,
 };
+#[cfg(target_arch = "x86_64")]
+pub use inbox_autodiff::simd::{F32x8Avx2, F32x8Sse2};
 
 /// Inference quantization mode for the item-point matrix, selected via
 /// `ServeConfig::quantize` / `inbox serve --quantize`.
@@ -245,20 +249,32 @@ pub fn quantized_d_pb_parts(
     qhi: &[f32],
     qcen: &[f32],
 ) -> (f32, f32) {
+    quantized_d_pb_parts_with::<F32x8>(q, scale, qlo, qhi, qcen)
+}
+
+/// [`quantized_d_pb_parts`] on lane type `L`.
+#[inline(always)]
+pub fn quantized_d_pb_parts_with<L: Lanes>(
+    q: &[i8],
+    scale: &[f32],
+    qlo: &[f32],
+    qhi: &[f32],
+    qcen: &[f32],
+) -> (f32, f32) {
     debug_assert_eq!(q.len() % 8, 0, "quantized rows are 8-lane padded");
     debug_assert_eq!(q.len(), scale.len());
     debug_assert_eq!(q.len(), qlo.len());
     debug_assert_eq!(q.len(), qhi.len());
     debug_assert_eq!(q.len(), qcen.len());
-    let mut out = F32x8::zero();
-    let mut inside = F32x8::zero();
+    let mut out = L::zero();
+    let mut inside = L::zero();
     for c in 0..q.len() / 8 {
         let at = c * 8;
-        let t = F32x8::load_i8(&q[at..]);
-        let s = F32x8::load(&scale[at..]);
-        let vl = F32x8::load(&qlo[at..]);
-        let vh = F32x8::load(&qhi[at..]);
-        let vc = F32x8::load(&qcen[at..]);
+        let t = L::load_i8(&q[at..]);
+        let s = L::load(&scale[at..]);
+        let vl = L::load(&qlo[at..]);
+        let vh = L::load(&qhi[at..]);
+        let vc = L::load(&qcen[at..]);
         out = out.add(s.mul(t.sub(vh).relu().add(vl.sub(t).relu())));
         let clamped = t.max(vl).min(vh);
         inside = inside.add(s.mul(vc.sub(clamped).abs()));

@@ -12,9 +12,13 @@
 //!    partitions, each with its centroid and the axis-aligned bounding
 //!    rectangle of its member points.
 //! 2. **Probe selection** ([`IvfIndex::select_probes`]): partitions are
-//!    ordered by the exact box-to-centroid distance (outside + weighted
-//!    inside term, identical shape to the item score) and the `nprobe`
-//!    nearest are kept.
+//!    ordered by their rectangle's min-distance to the box, then by the
+//!    exact box-to-centroid distance (outside + weighted inside term,
+//!    identical shape to the item score), and the `nprobe` nearest are
+//!    kept. Centroids and rectangles are stored dim-major, so one pass
+//!    over the dimensions updates every partition's sums in a loop the
+//!    compiler vectorises; each partition still sums its dimensions in
+//!    order, so every distance is the row-by-row value to the bit.
 //! 3. **Box pruning + exact re-rank** ([`IvfIndex::rerank_refined`]):
 //!    probed partitions are visited nearest-first. Once the running top-k
 //!    is full, a partition whose bounding rectangle provably cannot
@@ -231,6 +235,16 @@ pub struct QueryScratch {
     /// `(rect min-distance, centroid distance, partition)` rows, sorted
     /// ascending, truncated to `nprobe` by `select_probes`.
     probes: Vec<(f32, f32, u32)>,
+    /// Every partition's f64 rectangle score bound, by partition id, as
+    /// the last `select_probes` computed it; `rerank_refined`'s prune
+    /// test reads it instead of recomputing. Holds the outside sums while
+    /// `select_probes` runs.
+    bounds: Vec<f64>,
+    /// Per-partition inside sums of the rectangle bound (f64) and the
+    /// outside/inside sums of the centroid distance (f32).
+    rect_in: Vec<f64>,
+    cen_out: Vec<f32>,
+    cen_in: Vec<f32>,
     /// Backing storage for the top-k heap (round-trips through the heap).
     heap: Vec<Cand>,
     /// `(coarse score, item)` near-threshold buffer for
@@ -264,11 +278,12 @@ pub struct RerankStats {
 pub struct IvfIndex {
     dim: usize,
     n_items: usize,
-    /// Row-major `nlist × dim` partition centroids.
+    /// Dim-major `dim × nlist` partition centroids: dimension `k` of
+    /// partition `c` sits at `k * nlist + c`.
     centroids: Vec<f32>,
-    /// Row-major `nlist × dim` per-partition lower rectangle corners.
+    /// Dim-major `dim × nlist` per-partition lower rectangle corners.
     rect_lo: Vec<f32>,
-    /// Row-major `nlist × dim` per-partition upper rectangle corners.
+    /// Dim-major `dim × nlist` per-partition upper rectangle corners.
     rect_hi: Vec<f32>,
     /// CSR offsets into `members`, length `nlist + 1`.
     offsets: Vec<u32>,
@@ -303,14 +318,21 @@ impl IvfIndex {
         // matrix regardless of item order.
         let stride = (params.seed | 1) as usize % n.max(1);
         let stride = if stride == 0 { 1 } else { stride };
+        // Dim-major from the start, as stored: the assignment scan then
+        // runs over all centroids at once, one dimension at a time.
         let mut centroids = vec![0.0f32; nlist * dim];
+        let set_centroid = |centroids: &mut [f32], c: usize, item: usize| {
+            for (k, &v) in items[item * dim..(item + 1) * dim].iter().enumerate() {
+                centroids[k * nlist + c] = v;
+            }
+        };
         let mut at = 0usize;
         let mut taken = std::collections::HashSet::new();
         for c in 0..nlist {
             while !taken.insert(at) {
                 at = (at + 1) % n;
             }
-            centroids[c * dim..(c + 1) * dim].copy_from_slice(&items[at * dim..(at + 1) * dim]);
+            set_centroid(&mut centroids, c, at);
             at = (at + stride) % n;
         }
 
@@ -320,9 +342,10 @@ impl IvfIndex {
         let mut assign = vec![0u32; n];
         let mut counts = vec![0u32; nlist];
         let mut sums = vec![0.0f64; nlist * dim];
+        let mut dist = vec![0.0f32; nlist];
         for _ in 0..params.iters.max(1) {
             for (i, row) in items.chunks_exact(dim).enumerate() {
-                assign[i] = nearest_centroid_l1(&centroids, dim, row);
+                assign[i] = nearest_centroid_l1(&centroids, row, &mut dist);
             }
             counts.fill(0);
             sums.fill(0.0);
@@ -338,17 +361,16 @@ impl IvfIndex {
             for c in 0..nlist {
                 if counts[c] > 0 {
                     for k in 0..dim {
-                        centroids[c * dim + k] = (sums[c * dim + k] / counts[c] as f64) as f32;
+                        centroids[k * nlist + c] = (sums[c * dim + k] / counts[c] as f64) as f32;
                     }
                 } else {
                     let far = farthest_item(items, dim, &centroids, &assign);
-                    centroids[c * dim..(c + 1) * dim]
-                        .copy_from_slice(&items[far * dim..(far + 1) * dim]);
+                    set_centroid(&mut centroids, c, far);
                 }
             }
         }
         for (i, row) in items.chunks_exact(dim).enumerate() {
-            assign[i] = nearest_centroid_l1(&centroids, dim, row);
+            assign[i] = nearest_centroid_l1(&centroids, row, &mut dist);
         }
 
         // Finalise: CSR member lists + bounding rectangles.
@@ -375,9 +397,9 @@ impl IvfIndex {
             for &item in &members[offsets[c] as usize..offsets[c + 1] as usize] {
                 let row = &items[item as usize * dim..(item as usize + 1) * dim];
                 for (k, &v) in row.iter().enumerate() {
-                    let lo = &mut rect_lo[c * dim + k];
+                    let lo = &mut rect_lo[k * nlist + c];
                     *lo = lo.min(v);
-                    let hi = &mut rect_hi[c * dim + k];
+                    let hi = &mut rect_hi[k * nlist + c];
                     *hi = hi.max(v);
                 }
             }
@@ -395,8 +417,9 @@ impl IvfIndex {
 
     /// The one-partition index full-sort serving ranks through: every item
     /// in id order in a single partition whose rectangle is the catalog's
-    /// bounding rectangle. No k-means runs and the `index.build_partition`
-    /// failpoint is never consulted, so this cannot fail; one probe visits
+    /// bounding rectangle (with one partition, row- and dim-major agree).
+    /// No k-means runs and the `index.build_partition` failpoint is never
+    /// consulted, so this cannot fail; one probe visits
     /// the whole catalog, and [`rerank_refined`](Self::rerank_refined) over
     /// it is the exact masked top-k of every item.
     pub fn one_partition(items: &[f32], dim: usize) -> Self {
@@ -444,84 +467,110 @@ impl IvfIndex {
         &self.members[self.offsets[partition] as usize..self.offsets[partition + 1] as usize]
     }
 
-    /// Exact box-to-point distance (`d_out + w·d_in`, Eq. (7)–(9)) from
-    /// the query box to a centroid — the probe ordering key.
-    fn box_distance(&self, q: &BoxQuery<'_>, centroid: usize) -> f32 {
-        let row = &self.centroids[centroid * self.dim..(centroid + 1) * self.dim];
-        let mut out = 0.0f32;
-        let mut inside = 0.0f32;
-        for (k, &p) in row.iter().enumerate() {
-            out += (p - q.hi[k]).max(0.0) + (q.lo[k] - p).max(0.0);
-            inside += (q.cen[k] - p.clamp(q.lo[k], q.hi[k])).abs();
-        }
-        out + q.inside_weight * inside
-    }
-
-    /// Upper bound (in `f64`, conservative) on the score any point inside
-    /// partition `c`'s bounding rectangle can achieve against the box:
-    /// `gamma - min over the rectangle of (d_out + w·d_in)`. Per
-    /// dimension the outside term's minimum is the rectangle-to-box gap
-    /// and the inside term's minimum is the distance from the center to
-    /// the clamped rectangle interval — see DESIGN.md §12.
-    fn rect_score_bound(&self, q: &BoxQuery<'_>, c: usize) -> f64 {
-        let base = c * self.dim;
-        let mut d_out = 0.0f64;
-        let mut d_in = 0.0f64;
-        for k in 0..self.dim {
-            let rlo = self.rect_lo[base + k] as f64;
-            let rhi = self.rect_hi[base + k] as f64;
-            let blo = q.lo[k] as f64;
-            let bhi = q.hi[k] as f64;
-            let cen = q.cen[k] as f64;
-            d_out += (rlo - bhi).max(0.0) + (blo - rhi).max(0.0);
-            // The clamp of any rectangle point into the box spans
-            // [clamp(rlo), clamp(rhi)]; the nearest such value to the
-            // center bounds the inside term.
-            let a = rlo.clamp(blo, bhi);
-            let b = rhi.clamp(blo, bhi);
-            d_in += if cen < a {
-                a - cen
-            } else if cen > b {
-                cen - b
-            } else {
-                0.0
-            };
-        }
-        q.gamma as f64 - (d_out + q.inside_weight as f64 * d_in)
-    }
-
     /// Stage 1 — candidate generation: ranks every partition by how close
     /// its geometry can possibly come to the box and keeps the `nprobe`
     /// most promising in `scratch`. The primary key is the **rectangle
     /// min-distance** (the MINDIST of R-tree best-first search: the
     /// smallest `d_out + w·d_in` any member could achieve, i.e. exactly
-    /// `gamma - rect_score_bound`); rectangles that overlap the box all
-    /// tie at 0, so the **box-to-centroid distance** (Eq. (7)–(9) applied
-    /// to the k-means centroid) breaks ties, then the partition id keeps
-    /// probing deterministic. Allocation-free once `scratch` is warm.
+    /// `gamma` minus the rectangle score bound); rectangles that overlap
+    /// the box all tie at 0, so the **box-to-centroid distance**
+    /// (Eq. (7)–(9) applied to the k-means centroid) breaks ties, then
+    /// the partition id keeps probing deterministic. Every partition's
+    /// rectangle bound is kept in `scratch` for
+    /// [`rerank_refined`](Self::rerank_refined)'s prune test.
+    /// Allocation-free once `scratch` is warm.
+    ///
+    /// The rectangle bound, in `f64` so it is conservative: per dimension
+    /// the outside term's minimum over the rectangle is the
+    /// rectangle-to-box gap, and the inside term's minimum is the distance
+    /// from the box center to the clamped rectangle interval (see
+    /// DESIGN.md §12). One pass per dimension updates every partition's
+    /// sums over the dim-major layout; each partition adds its dimensions
+    /// in order, exactly as a row-by-row evaluation would. The clamps and
+    /// relus are selects, which the compiler vectorises. Marked
+    /// `#[inline(always)]` so a caller's `target_feature` twin compiles
+    /// the pass with its wider vectors.
+    #[inline(always)]
     pub fn select_probes(&self, q: &BoxQuery<'_>, nprobe: usize, scratch: &mut QueryScratch) {
         let nlist = self.nlist();
-        scratch.probes.clear();
-        scratch.probes.reserve(nlist);
-        for c in 0..nlist {
-            let mindist = (q.gamma as f64 - self.rect_score_bound(q, c)) as f32;
-            scratch
-                .probes
-                .push((mindist, self.box_distance(q, c), c as u32));
+        let QueryScratch {
+            probes,
+            bounds,
+            rect_in,
+            cen_out,
+            cen_in,
+            ..
+        } = scratch;
+        for v in [&mut *bounds, &mut *rect_in] {
+            v.clear();
+            v.resize(nlist, 0.0);
         }
-        scratch.probes.sort_unstable_by(|a, b| {
+        for v in [&mut *cen_out, &mut *cen_in] {
+            v.clear();
+            v.resize(nlist, 0.0);
+        }
+        // Equal-length views, so the inner loops carry no bounds checks.
+        let (rect_out, rect_in) = (&mut bounds[..nlist], &mut rect_in[..nlist]);
+        let (cen_out, cen_in) = (&mut cen_out[..nlist], &mut cen_in[..nlist]);
+        for k in 0..self.dim {
+            let at = k * nlist;
+            let rlo = &self.rect_lo[at..at + nlist];
+            let rhi = &self.rect_hi[at..at + nlist];
+            let (blo, bhi, bcen) = (q.lo[k] as f64, q.hi[k] as f64, q.cen[k] as f64);
+            for c in 0..nlist {
+                let (l, h) = (rlo[c] as f64, rhi[c] as f64);
+                rect_out[c] += relu(l - bhi) + relu(blo - h);
+                // The clamp of any rectangle point into the box spans
+                // [clamp(l), clamp(h)]; the nearest such value to the
+                // center bounds the inside term.
+                let a = clamp(l, blo, bhi);
+                let b = clamp(h, blo, bhi);
+                rect_in[c] += if bcen < a {
+                    a - bcen
+                } else if bcen > b {
+                    bcen - b
+                } else {
+                    0.0
+                };
+            }
+            let cent = &self.centroids[at..at + nlist];
+            let (lo, hi, cen) = (q.lo[k], q.hi[k], q.cen[k]);
+            for c in 0..nlist {
+                let p = cent[c];
+                cen_out[c] += relu(p - hi) + relu(lo - p);
+                cen_in[c] += (cen - clamp(p, lo, hi)).abs();
+            }
+        }
+        let gamma = q.gamma as f64;
+        let w = q.inside_weight as f64;
+        probes.clear();
+        for c in 0..nlist {
+            let bound = gamma - (rect_out[c] + w * rect_in[c]);
+            rect_out[c] = bound;
+            let mindist = (gamma - bound) as f32;
+            let centroid = cen_out[c] + q.inside_weight * cen_in[c];
+            probes.push((mindist, centroid, c as u32));
+        }
+        let keep = nprobe.max(1).min(nlist);
+        let order = |a: &(f32, f32, u32), b: &(f32, f32, u32)| {
             a.0.partial_cmp(&b.0)
                 .unwrap_or(Ordering::Equal)
                 .then(a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
                 .then(a.2.cmp(&b.2))
-        });
-        scratch.probes.truncate(nprobe.max(1).min(nlist));
+        };
+        if keep < nlist {
+            probes.select_nth_unstable_by(keep - 1, order);
+            probes.truncate(keep);
+        }
+        probes.sort_unstable_by(order);
     }
 
     /// Stage 2 — box pruning + exact re-rank over the probed partitions.
     /// Visits `scratch`'s probe list nearest-first, skips partitions whose
-    /// rectangle bound cannot beat the current k-th best `coarse` score
-    /// (minus [`PRUNE_SLACK`] and the query's `bound_slack`), and scores
+    /// rectangle bound (cached by [`select_probes`](Self::select_probes),
+    /// which must have run on the same `q`) cannot beat the current k-th
+    /// best `coarse` score (minus [`PRUNE_SLACK`] and the query's
+    /// `bound_slack`), and scores
     /// every remaining unmasked member with `coarse`. Every candidate
     /// within `2·bound_slack` of the *running* k-th coarse score is
     /// buffered, the buffer is narrowed to the *final* k-th threshold, and
@@ -544,7 +593,12 @@ impl IvfIndex {
     /// over the same scanned partitions, byte for byte. Partition pruning
     /// already widens by `q.bound_slack`, which keeps it conservative
     /// against the f32 geometry the rectangles describe.
+    ///
+    /// Marked `#[inline(always)]` so a caller's `target_feature` twin
+    /// compiles the walk, and the `coarse`/`exact` scorers inlined into
+    /// it, with that feature enabled.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub fn rerank_refined(
         &self,
         q: &BoxQuery<'_>,
@@ -563,11 +617,12 @@ impl IvfIndex {
         let mut heap: BinaryHeap<Cand> = BinaryHeap::from(entries);
         let mut near = std::mem::take(&mut scratch.near);
         near.clear();
+        debug_assert_eq!(scratch.bounds.len(), self.nlist(), "select_probes first");
         for i in 0..scratch.probes.len() {
             let c = scratch.probes[i].2 as usize;
             if heap.len() == k {
                 let kth = heap.peek().map(|e| e.score as f64).unwrap_or(f64::MIN);
-                if self.rect_score_bound(q, c) < kth - PRUNE_SLACK - q.bound_slack as f64 {
+                if scratch.bounds[c] < kth - PRUNE_SLACK - q.bound_slack as f64 {
                     stats.pruned_partitions += 1;
                     continue;
                 }
@@ -625,14 +680,45 @@ impl IvfIndex {
     }
 }
 
-fn nearest_centroid_l1(centroids: &[f32], dim: usize, row: &[f32]) -> u32 {
+/// `relu` as a select (`maxps`/`maxpd` semantics), so the probe pass
+/// vectorises; `T::default()` is `0.0`.
+#[inline(always)]
+fn relu<T: PartialOrd + Default>(x: T) -> T {
+    if x > T::default() {
+        x
+    } else {
+        T::default()
+    }
+}
+
+/// `x.clamp(lo, hi)` for `lo <= hi`, as selects.
+#[inline(always)]
+fn clamp<T: PartialOrd>(x: T, lo: T, hi: T) -> T {
+    if x < lo {
+        lo
+    } else if x > hi {
+        hi
+    } else {
+        x
+    }
+}
+
+/// The L1-nearest centroid of `row` (first on ties). `centroids` is
+/// dim-major (`dim × nlist`, `nlist = dist.len()`): each dimension updates
+/// every centroid's distance in `dist`, and each distance still sums its
+/// dimensions in order.
+fn nearest_centroid_l1(centroids: &[f32], row: &[f32], dist: &mut [f32]) -> u32 {
+    let nlist = dist.len();
+    dist.fill(0.0);
+    for (k, &v) in row.iter().enumerate() {
+        let col = &centroids[k * nlist..(k + 1) * nlist];
+        for (d, &cen) in dist.iter_mut().zip(col) {
+            *d += (v - cen).abs();
+        }
+    }
     let mut best = 0u32;
     let mut best_d = f32::MAX;
-    for (c, cen) in centroids.chunks_exact(dim).enumerate() {
-        let mut d = 0.0f32;
-        for k in 0..dim {
-            d += (row[k] - cen[k]).abs();
-        }
+    for (c, &d) in dist.iter().enumerate() {
         if d < best_d {
             best_d = d;
             best = c as u32;
@@ -642,14 +728,14 @@ fn nearest_centroid_l1(centroids: &[f32], dim: usize, row: &[f32]) -> u32 {
 }
 
 fn farthest_item(items: &[f32], dim: usize, centroids: &[f32], assign: &[u32]) -> usize {
+    let nlist = centroids.len() / dim;
     let mut far = 0usize;
     let mut far_d = f32::MIN;
     for (i, row) in items.chunks_exact(dim).enumerate() {
         let c = assign[i] as usize;
-        let cen = &centroids[c * dim..(c + 1) * dim];
         let mut d = 0.0f32;
         for k in 0..dim {
-            d += (row[k] - cen[k]).abs();
+            d += (row[k] - centroids[k * nlist + c]).abs();
         }
         if d > far_d {
             far_d = d;
@@ -709,6 +795,141 @@ mod tests {
         (lo, hi, cen)
     }
 
+    /// The row-by-row probe arithmetic `select_probes` replaced, kept as
+    /// the reference its dim-major pass must match bit for bit.
+    impl IvfIndex {
+        /// Exact box-to-point distance (`d_out + w·d_in`, Eq. (7)–(9))
+        /// from the query box to a centroid — the probe tie-break key.
+        fn box_distance(&self, q: &BoxQuery<'_>, centroid: usize) -> f32 {
+            let nlist = self.nlist();
+            let mut out = 0.0f32;
+            let mut inside = 0.0f32;
+            for k in 0..self.dim {
+                let p = self.centroids[k * nlist + centroid];
+                out += (p - q.hi[k]).max(0.0) + (q.lo[k] - p).max(0.0);
+                inside += (q.cen[k] - p.clamp(q.lo[k], q.hi[k])).abs();
+            }
+            out + q.inside_weight * inside
+        }
+
+        /// Upper bound (in `f64`, conservative) on the score any point
+        /// inside partition `c`'s bounding rectangle can achieve against
+        /// the box: `gamma - min over the rectangle of (d_out + w·d_in)`.
+        fn rect_score_bound(&self, q: &BoxQuery<'_>, c: usize) -> f64 {
+            let nlist = self.nlist();
+            let mut d_out = 0.0f64;
+            let mut d_in = 0.0f64;
+            for k in 0..self.dim {
+                let rlo = self.rect_lo[k * nlist + c] as f64;
+                let rhi = self.rect_hi[k * nlist + c] as f64;
+                let blo = q.lo[k] as f64;
+                let bhi = q.hi[k] as f64;
+                let cen = q.cen[k] as f64;
+                d_out += (rlo - bhi).max(0.0) + (blo - rhi).max(0.0);
+                let a = rlo.clamp(blo, bhi);
+                let b = rhi.clamp(blo, bhi);
+                d_in += if cen < a {
+                    a - cen
+                } else if cen > b {
+                    cen - b
+                } else {
+                    0.0
+                };
+            }
+            q.gamma as f64 - (d_out + q.inside_weight as f64 * d_in)
+        }
+
+        /// The reference probe list (every partition scored row by row,
+        /// fully sorted, truncated) and the per-partition bounds.
+        fn reference_probes(
+            &self,
+            q: &BoxQuery<'_>,
+            nprobe: usize,
+        ) -> (Vec<(f32, f32, u32)>, Vec<f64>) {
+            let nlist = self.nlist();
+            let bounds: Vec<f64> = (0..nlist).map(|c| self.rect_score_bound(q, c)).collect();
+            let mut probes: Vec<(f32, f32, u32)> = (0..nlist)
+                .map(|c| {
+                    let mindist = (q.gamma as f64 - bounds[c]) as f32;
+                    (mindist, self.box_distance(q, c), c as u32)
+                })
+                .collect();
+            probes.sort_unstable_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .unwrap_or(Ordering::Equal)
+                    .then(a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+                    .then(a.2.cmp(&b.2))
+            });
+            probes.truncate(nprobe.max(1).min(nlist));
+            (probes, bounds)
+        }
+
+        /// The prune-and-scan walk as it ran before the bound was cached:
+        /// the rectangle bound recomputed per visited partition, the top-k
+        /// kept as a sorted list. Returns the stats and the answer.
+        fn reference_rerank(
+            &self,
+            q: &BoxQuery<'_>,
+            k: usize,
+            mask: &[ItemId],
+            probes: &[(f32, f32, u32)],
+            score: impl Fn(u32) -> f32,
+        ) -> (RerankStats, Vec<(ItemId, f32)>) {
+            let mut stats = RerankStats::default();
+            let mut top: Vec<(ItemId, f32)> = Vec::new();
+            for &(_, _, c) in probes {
+                let c = c as usize;
+                if top.len() == k {
+                    let kth = top.last().map_or(f64::MIN, |e| e.1 as f64);
+                    if self.rect_score_bound(q, c) < kth - PRUNE_SLACK - q.bound_slack as f64 {
+                        stats.pruned_partitions += 1;
+                        continue;
+                    }
+                }
+                stats.scanned_partitions += 1;
+                for &item in self.members(c) {
+                    if mask.binary_search(&ItemId(item)).is_ok() {
+                        continue;
+                    }
+                    stats.candidates += 1;
+                    top.push((ItemId(item), score(item)));
+                    top.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+                    top.truncate(k);
+                }
+            }
+            (stats, top)
+        }
+    }
+
+    /// [`IvfIndex::select_probes`] compiled with AVX2 enabled: the
+    /// instantiation a serving twin inlines.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn select_probes_avx2(ix: &IvfIndex, q: &BoxQuery<'_>, nprobe: usize, s: &mut QueryScratch) {
+        ix.select_probes(q, nprobe, s)
+    }
+
+    /// Runs `select_probes` under the baseline and, when the CPU has it,
+    /// the AVX2 instantiation.
+    fn select_probes_each_backend(
+        ix: &IvfIndex,
+        q: &BoxQuery<'_>,
+        nprobe: usize,
+    ) -> Vec<(&'static str, QueryScratch)> {
+        let mut runs = Vec::new();
+        let mut s = QueryScratch::default();
+        ix.select_probes(q, nprobe, &mut s);
+        runs.push(("baseline", s));
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut s = QueryScratch::default();
+            // SAFETY: the CPU supports AVX2 (checked just above).
+            unsafe { select_probes_avx2(ix, q, nprobe, &mut s) };
+            runs.push(("avx2", s));
+        }
+        runs
+    }
+
     #[test]
     fn build_partitions_every_item_exactly_once() {
         let dim = 4;
@@ -765,8 +986,8 @@ mod tests {
             for &m in ix.members(c) {
                 let row = &items[m as usize * dim..(m as usize + 1) * dim];
                 for (k, &v) in row.iter().enumerate() {
-                    assert!(ix.rect_lo[c * dim + k] <= v);
-                    assert!(ix.rect_hi[c * dim + k] >= v);
+                    assert!(ix.rect_lo[k * ix.nlist() + c] <= v);
+                    assert!(ix.rect_hi[k * ix.nlist() + c] >= v);
                 }
             }
         }
@@ -799,6 +1020,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
+        let mut scratch = QueryScratch::default();
         for _ in 0..50 {
             let cen: Vec<f32> = (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let (lo, hi, cen) = box_of(cen, rng.gen_range(0.0..1.0));
@@ -810,8 +1032,9 @@ mod tests {
                 gamma: 12.0,
                 bound_slack: 0.0,
             };
+            ix.select_probes(&q, ix.nlist(), &mut scratch);
             for c in 0..ix.nlist() {
-                let bound = ix.rect_score_bound(&q, c);
+                let bound = scratch.bounds[c];
                 for &m in ix.members(c) {
                     let s = exact_score(&items, dim, m, &q) as f64;
                     assert!(
@@ -1010,6 +1233,71 @@ mod tests {
                     proptest::prop_assert_eq!(got.0, want.0);
                     proptest::prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The dim-major probe pass equals the row-by-row reference bit
+        /// for bit — min-distances, centroid distances, partition order
+        /// and every cached bound — over dims 1..=40, `nprobe` of 1, auto
+        /// and `nlist`, and the one-partition index, under the baseline
+        /// and the AVX2 instantiation. Re-ranking over the cached bounds
+        /// gives the same answer and the same `RerankStats` as over the
+        /// reference bounds.
+        #[test]
+        fn dim_major_probes_match_the_row_major_reference(
+            dim in 1usize..=40,
+            n in 1usize..160,
+            nlist in 1usize..24,
+            nprobe_pick in 0u8..3,
+            whole_pick in 0u8..4,
+            half in 0.0f32..1.5,
+            seed in 0u64..1_000,
+        ) {
+            let items = random_items(n, dim, seed);
+            let ix = if whole_pick == 0 {
+                IvfIndex::one_partition(&items, dim)
+            } else {
+                IvfIndex::build(&items, dim, &IvfParams { nlist, ..Default::default() })
+                    .expect("build")
+            };
+            let nprobe = match nprobe_pick {
+                0 => 1,
+                1 => auto_nprobe(ix.nlist()),
+                _ => ix.nlist(),
+            };
+            let cen = random_items(1, dim, seed + 1);
+            let (lo, hi, cen) = box_of(cen, half);
+            let q = BoxQuery {
+                lo: &lo,
+                hi: &hi,
+                cen: &cen,
+                inside_weight: 0.5,
+                gamma: 12.0,
+                bound_slack: 0.0,
+            };
+            let (want_probes, want_bounds) = ix.reference_probes(&q, nprobe);
+            let mask: Vec<ItemId> = (0..n as u32).filter(|i| i % 7 == 3).map(ItemId).collect();
+            let score = |i: u32| exact_score(&items, dim, i, &q);
+            for (backend, mut scratch) in select_probes_each_backend(&ix, &q, nprobe) {
+                proptest::prop_assert_eq!(scratch.probes.len(), want_probes.len(), "{}", backend);
+                for (got, want) in scratch.probes.iter().zip(&want_probes) {
+                    proptest::prop_assert_eq!(got.0.to_bits(), want.0.to_bits(), "{} mindist", backend);
+                    proptest::prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "{} centroid", backend);
+                    proptest::prop_assert_eq!(got.2, want.2, "{} order", backend);
+                }
+                let got_bounds: Vec<u64> = scratch.bounds.iter().map(|b| b.to_bits()).collect();
+                let ref_bounds: Vec<u64> = want_bounds.iter().map(|b| b.to_bits()).collect();
+                proptest::prop_assert_eq!(got_bounds, ref_bounds, "{} bounds", backend);
+
+                let mut out = Vec::new();
+                let stats = ix.rerank_refined(&q, 5, &mask, score, score, &mut scratch, &mut out);
+                let (want_stats, want_out) = ix.reference_rerank(&q, 5, &mask, &want_probes, score);
+                proptest::prop_assert_eq!(stats, want_stats, "{} stats", backend);
+                proptest::prop_assert_eq!(out, want_out, "{} answer", backend);
             }
         }
     }

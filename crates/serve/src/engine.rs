@@ -30,6 +30,12 @@
 //! users rank the popularity vector with
 //! [`top_k_masked_into`](inbox_eval::top_k_masked_into).
 //!
+//! The box-backed walk and the exact reference scan behind
+//! [`Engine::oracle`] and the audit each run through
+//! [`simd::dispatch`](inbox_core::simd::dispatch): the lane backend is
+//! chosen once per request (an AVX2 twin when the CPU has it), never per
+//! item, and every backend gives the same answer bit for bit.
+//!
 //! Both paths are allocation-free at steady state: per-thread scratch
 //! buffers back them, and the `engine.candidates` / `engine.rerank` /
 //! `engine.rank` allocation scopes make that property checkable at runtime
@@ -41,12 +47,15 @@ use std::sync::Arc;
 
 use inbox_autodiff::Tape;
 use inbox_core::predict::user_box_from_history;
+use inbox_core::simd::{self, Lanes, WithLanes};
 use inbox_core::{
     BoxEmb, HistoryCache, InBoxConfig, InBoxModel, ItemScorer, ScoreScratch, TrainedInBox,
 };
 use inbox_data::Interactions;
 use inbox_eval::{top_k_masked, top_k_masked_into, TopKScratch};
-use inbox_index::{auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch};
+use inbox_index::{
+    auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch, RerankStats,
+};
 use inbox_kg::{Concept, ItemId, KnowledgeGraph, UserId};
 use inbox_obs::{ObsMutex, ObsRwLock};
 
@@ -455,42 +464,23 @@ impl Engine {
                     .collect();
             };
             // Box-backed users: candidate generation (probe selection) +
-            // exact re-rank over the probed partitions. Full sort is the
-            // one-partition index, whose single probe is every item. The
-            // walk scores candidates with the active scorer (int8 or f32)
-            // and re-scores the near-threshold survivors through the f32
-            // per-item kernel; unquantized, both closures are the same f32
-            // score and the slack is 0. Whenever the probed partitions
-            // contain the true top-k the answer is byte-identical to the
-            // exact reference ranking.
+            // exact re-rank over the probed partitions, on the lane
+            // backend chosen once for the whole walk. Whenever the probed
+            // partitions contain the true top-k the answer is
+            // byte-identical to the exact reference ranking.
             self.scorer.prepare_box_bounds(b, score);
-            let q = BoxQuery {
-                lo: score.lo(),
-                hi: score.hi(),
-                cen: &b.cen,
-                inside_weight: self.scorer.inside_weight(),
-                gamma: self.scorer.gamma(),
-                bound_slack: self.scorer.bound_slack(),
-            };
-            {
-                let _cand_span = inbox_obs::ctx_span("engine.candidates");
-                let _cand_alloc = inbox_obs::alloc_scope("engine.candidates");
-                self.index.select_probes(&q, self.nprobe, query);
-            }
-            let rerank_stats = {
-                let _rerank_span = inbox_obs::ctx_span("engine.rerank");
-                let _rerank_alloc = inbox_obs::alloc_scope("engine.rerank");
-                self.copy_mask(user, mask);
-                self.index.rerank_refined(
-                    &q,
-                    k,
-                    mask,
-                    |i| self.scorer.score_item_prepared(b, score, i),
-                    |i| self.scorer.score_item_prepared_f32(b, score, i),
-                    query,
-                    ranked,
-                )
-            };
+            let q = self.box_query(b, score);
+            let rerank_stats = simd::dispatch(BoxWalk {
+                engine: self,
+                user,
+                k,
+                b,
+                q: &q,
+                score,
+                query,
+                mask,
+                ranked,
+            });
             inbox_obs::record_value("engine.candidates.size", rerank_stats.candidates as u64);
             self.obs_index_requests.incr();
             self.obs_index_pruned
@@ -505,6 +495,18 @@ impl Engine {
             fallback,
             version,
         })
+    }
+
+    /// The probe-stage view of a box whose bounds `score` holds.
+    fn box_query<'a>(&self, b: &'a BoxEmb, score: &'a ScoreScratch) -> BoxQuery<'a> {
+        BoxQuery {
+            lo: score.lo(),
+            hi: score.hi(),
+            cen: &b.cen,
+            inside_weight: self.scorer.inside_weight(),
+            gamma: self.scorer.gamma(),
+            bound_slack: self.scorer.bound_slack(),
+        }
     }
 
     /// Copies `user`'s current mask into `out` under a brief live read lock.
@@ -601,9 +603,11 @@ impl Engine {
             Some(b) => {
                 let mut scratch = ScoreScratch::default();
                 self.scorer.prepare_box_bounds(b, &mut scratch);
-                (0..self.n_items() as u32)
-                    .map(|i| self.scorer.score_item_prepared_f32(b, &scratch, i))
-                    .collect()
+                simd::dispatch(ExactScan {
+                    scorer: &self.scorer,
+                    b,
+                    scratch: &scratch,
+                })
             }
             None => self.popularity.clone(),
         };
@@ -612,5 +616,193 @@ impl Engine {
             .map(|i| (i, scores[i.index()]))
             .collect();
         (items, b.is_none())
+    }
+}
+
+/// One box-backed request's walk — probe selection, then the coarse walk
+/// with its exact f32 refine — as a single [`WithLanes`] body, so
+/// [`simd::dispatch`] picks the lane backend once per request. The walk
+/// scores candidates with the active scorer (int8 or f32) and re-scores
+/// the near-threshold survivors through the f32 per-item kernel;
+/// unquantized, both are the same f32 score and the slack is 0.
+struct BoxWalk<'a> {
+    engine: &'a Engine,
+    user: UserId,
+    k: usize,
+    b: &'a BoxEmb,
+    q: &'a BoxQuery<'a>,
+    score: &'a ScoreScratch,
+    query: &'a mut QueryScratch,
+    mask: &'a mut Vec<ItemId>,
+    ranked: &'a mut Vec<(ItemId, f32)>,
+}
+
+impl WithLanes for BoxWalk<'_> {
+    type Output = RerankStats;
+
+    #[inline(always)]
+    fn run<L: Lanes>(self) -> RerankStats {
+        let Self {
+            engine,
+            user,
+            k,
+            b,
+            q,
+            score,
+            query,
+            mask,
+            ranked,
+        } = self;
+        {
+            let _cand_span = inbox_obs::ctx_span("engine.candidates");
+            let _cand_alloc = inbox_obs::alloc_scope("engine.candidates");
+            engine.index.select_probes(q, engine.nprobe, query);
+        }
+        let _rerank_span = inbox_obs::ctx_span("engine.rerank");
+        let _rerank_alloc = inbox_obs::alloc_scope("engine.rerank");
+        engine.copy_mask(user, mask);
+        let scorer = &engine.scorer;
+        engine.index.rerank_refined(
+            q,
+            k,
+            mask,
+            |i| scorer.score_item_prepared_with::<L>(b, score, i),
+            |i| scorer.score_item_prepared_f32_with::<L>(b, score, i),
+            query,
+            ranked,
+        )
+    }
+}
+
+/// The exact reference scan: every item's f32 score against a prepared
+/// box, in item order.
+struct ExactScan<'a> {
+    scorer: &'a ItemScorer,
+    b: &'a BoxEmb,
+    scratch: &'a ScoreScratch,
+}
+
+impl WithLanes for ExactScan<'_> {
+    type Output = Vec<f32>;
+
+    #[inline(always)]
+    fn run<L: Lanes>(self) -> Vec<f32> {
+        let n = self.scorer.n_items() as u32;
+        let mut scores = Vec::with_capacity(n as usize);
+        for i in 0..n {
+            scores.push(
+                self.scorer
+                    .score_item_prepared_f32_with::<L>(self.b, self.scratch, i),
+            );
+        }
+        scores
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inbox_core::simd::F32x8;
+    use inbox_core::{Quantization, UniverseSizes};
+    use inbox_data::{Dataset, SyntheticConfig};
+
+    fn engine(index: IndexMode, quantize: Quantization) -> Engine {
+        let ds = Dataset::synthetic(&SyntheticConfig::tiny(), 5);
+        // 37 dims: four full lane chunks plus a five-lane remainder.
+        let cfg = InBoxConfig::for_dim(37);
+        let sizes = UniverseSizes {
+            n_items: ds.kg.n_items(),
+            n_tags: ds.kg.n_tags(),
+            n_relations: ds.kg.n_relations(),
+            n_users: ds.train.n_users(),
+        };
+        let model = InBoxModel::new(sizes, &cfg);
+        let serve = ServeConfig {
+            index,
+            quantize,
+            ..ServeConfig::default()
+        };
+        Engine::new(model, cfg, ds.kg.clone(), &ds.train, &serve)
+    }
+
+    /// One request's box walk from cold scratch, run by `run`; `None` for
+    /// a user without a box.
+    fn walk(
+        engine: &Engine,
+        user: UserId,
+        k: usize,
+        run: impl for<'w> FnOnce(BoxWalk<'w>) -> RerankStats,
+    ) -> Option<(Vec<(ItemId, f32)>, RerankStats)> {
+        let b = engine.resolve_box(user).1?;
+        let mut score = ScoreScratch::default();
+        let (mut query, mut mask, mut ranked) = Default::default();
+        engine.scorer.prepare_box_bounds(&b, &mut score);
+        let q = engine.box_query(&b, &score);
+        let stats = run(BoxWalk {
+            engine,
+            user,
+            k,
+            b: &b,
+            q: &q,
+            score: &score,
+            query: &mut query,
+            mask: &mut mask,
+            ranked: &mut ranked,
+        });
+        Some((ranked, stats))
+    }
+
+    /// The AVX2 walk twin, as [`simd::dispatch`] compiles it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn walk_avx2(w: BoxWalk<'_>) -> RerankStats {
+        w.run::<inbox_core::simd::F32x8Avx2>()
+    }
+
+    fn bits(items: &[(ItemId, f32)]) -> Vec<(ItemId, u32)> {
+        items.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+    }
+
+    /// Every box-backed answer is byte-identical through the baseline
+    /// walk and the AVX2 twin (when the CPU has AVX2), with the same
+    /// `RerankStats`, and equals what `recommend_now` serves — over full
+    /// sort and IVF, f32 and int8.
+    #[test]
+    fn baseline_and_avx2_walks_answer_byte_identically() {
+        let ivf = IndexMode::Ivf {
+            nlist: 12,
+            nprobe: 4,
+        };
+        for (index, quantize) in [
+            (IndexMode::FullSort, Quantization::None),
+            (IndexMode::FullSort, Quantization::Int8),
+            (ivf, Quantization::None),
+            (ivf, Quantization::Int8),
+        ] {
+            let engine = engine(index, quantize);
+            let mut walked = 0;
+            for u in 0..engine.n_users() as u32 {
+                let user = UserId(u);
+                let Some((base, base_stats)) = walk(&engine, user, 10, |w| w.run::<F32x8>()) else {
+                    continue;
+                };
+                walked += 1;
+                let served = engine.recommend_now(user, 10).expect("served");
+                assert_eq!(
+                    bits(&served.items),
+                    bits(&base),
+                    "{index} {quantize:?} {user:?}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: the CPU supports AVX2 (checked just above).
+                    let (twin, twin_stats) =
+                        walk(&engine, user, 10, |w| unsafe { walk_avx2(w) }).expect("box");
+                    assert_eq!(bits(&twin), bits(&base), "{index} {quantize:?} {user:?}");
+                    assert_eq!(twin_stats, base_stats, "{index} {quantize:?} {user:?}");
+                }
+            }
+            assert!(walked > 0, "the fixture has box-backed users");
+        }
     }
 }

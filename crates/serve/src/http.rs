@@ -454,14 +454,14 @@ fn respond(
             TraceOutcome::Ok
         }
         ("GET", "/metrics") => {
-            write_traced(
-                stream,
-                trace,
-                200,
-                "OK",
-                PROMETHEUS,
-                &inbox_obs::prometheus_text(),
-            );
+            let mut body = inbox_obs::prometheus_text();
+            // The SIMD lane backend scoring dispatches to, as one info
+            // sample: timings from hosts on different backends differ.
+            body.push_str(&format!(
+                "# TYPE inbox_simd_backend gauge\ninbox_simd_backend{{backend=\"{}\"}} 1\n",
+                inbox_core::simd::backend()
+            ));
+            write_traced(stream, trace, 200, "OK", PROMETHEUS, &body);
             TraceOutcome::Ok
         }
         ("GET", "/traces") => {

@@ -185,6 +185,28 @@ fn stats_and_unknown_routes() {
 }
 
 #[test]
+fn metrics_name_the_simd_backend_once() {
+    let (_ds, _service, http) = server(57);
+    let (status, body) = get(&http, "/metrics");
+    assert_eq!(status, 200);
+    let samples: Vec<_> = body
+        .lines()
+        .filter_map(inbox_obs::expo::parse_line)
+        .filter(|(name, _, _)| name == "inbox_simd_backend")
+        .collect();
+    assert_eq!(samples.len(), 1, "body: {body}");
+    let (_, labels, value) = &samples[0];
+    assert_eq!(
+        labels,
+        &vec![(
+            "backend".to_string(),
+            inbox_core::simd::backend().to_string()
+        )]
+    );
+    assert_eq!(*value, 1.0);
+}
+
+#[test]
 fn stats_surface_rebuilds_and_cache_evictions() {
     // A two-entry box cache under traffic from many distinct users must
     // rebuild boxes (misses with history) and evict LRU victims — and both

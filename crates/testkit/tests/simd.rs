@@ -12,12 +12,23 @@
 //! Inputs deliberately include the values where floating-point folds and
 //! select-based min/max diverge from naive scalar code: ±0.0, subnormals,
 //! tiny/normal magnitude mixes, and every remainder-lane width (dims not
-//! divisible by 8). The same assertions run in CI under the default
-//! (intrinsics) build *and* `--features scalar-fallback`, proving both
-//! backends implement the same contract.
+//! divisible by 8).
+//!
+//! Every kernel runs through each lane type the host supports — the
+//! portable `F32x8Scalar`, the SSE2 pair, and AVX2 when the CPU has it —
+//! via its `…_with::<L>` body; the AVX2 calls go through a
+//! `#[target_feature(enable = "avx2")]` shim, so they are compiled the
+//! way the serving twin compiles them. The plain-named kernels (the
+//! default `F32x8`) are checked too. CI runs the suite in release mode,
+//! where the twins' inlining happens, and under `--features
+//! scalar-fallback`.
 
 use inbox_core::geometry::{self, BoxEmb};
-use inbox_core::simd::{d_pb_bounds_parts, d_pb_box_parts, d_pb_row_interleaved, l1_row};
+use inbox_core::simd::{
+    backend, d_pb_bounds_parts, d_pb_bounds_parts_with, d_pb_box_parts, d_pb_box_parts_with,
+    d_pb_row_interleaved, d_pb_row_interleaved_with, l1_row, l1_row_with, quantized_d_pb_parts,
+    quantized_d_pb_parts_with, F32x8, F32x8Scalar, Lanes, WithLanes,
+};
 use proptest::prelude::*;
 
 /// Largest dimensionality exercised; covers 5 full chunks and every
@@ -65,6 +76,83 @@ fn striped(terms: &[f32]) -> f32 {
     ];
     let c = [b[0] + b[2], b[1] + b[3]];
     c[0] + c[1]
+}
+
+// ---------------------------------------------------------------------
+// Every lane backend the host supports
+// ---------------------------------------------------------------------
+
+/// One kernel call, runnable on any lane type.
+#[derive(Clone)]
+enum Kernel<'a> {
+    L1(&'a [f32], &'a [f32]),
+    Bounds(&'a [f32], &'a [f32], &'a [f32], &'a [f32]),
+    Box(&'a [f32], &'a [f32], &'a [f32]),
+    Interleaved(&'a [f32], &'a [f32], &'a [f32], f32),
+    Quantized(&'a [i8], &'a [f32], &'a [f32], &'a [f32], &'a [f32]),
+    /// `load_i8` of 8 bytes, as lanes.
+    LoadI8(&'a [i8]),
+    /// `hsum` of 8 lanes.
+    Hsum(&'a [f32]),
+}
+
+impl WithLanes for Kernel<'_> {
+    /// Output bits, so backends compare bit for bit.
+    type Output = Vec<u32>;
+
+    #[inline(always)]
+    fn run<L: Lanes>(self) -> Vec<u32> {
+        let v = match self {
+            Kernel::L1(a, b) => vec![l1_row_with::<L>(a, b)],
+            Kernel::Bounds(p, c, lo, hi) => {
+                let (o, i) = d_pb_bounds_parts_with::<L>(p, c, lo, hi);
+                vec![o, i]
+            }
+            Kernel::Box(p, c, off) => {
+                let (o, i) = d_pb_box_parts_with::<L>(p, c, off);
+                vec![o, i]
+            }
+            Kernel::Interleaved(p, c, off, w) => vec![d_pb_row_interleaved_with::<L>(p, c, off, w)],
+            Kernel::Quantized(q, s, lo, hi, c) => {
+                let (o, i) = quantized_d_pb_parts_with::<L>(q, s, lo, hi, c);
+                vec![o, i]
+            }
+            Kernel::LoadI8(b) => L::load_i8(b).to_array().to_vec(),
+            Kernel::Hsum(a) => vec![L::load(a).hsum()],
+        };
+        v.into_iter().map(f32::to_bits).collect()
+    }
+}
+
+/// The AVX2 instantiation, compiled under `target_feature` like the
+/// serving twin.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn on_avx2(k: Kernel<'_>) -> Vec<u32> {
+    k.run::<inbox_core::simd::F32x8Avx2>()
+}
+
+/// `k`'s output bits under every lane type the host supports, labelled.
+fn each_backend(k: Kernel<'_>) -> Vec<(&'static str, Vec<u32>)> {
+    let mut out = vec![("scalar", k.clone().run::<F32x8Scalar>())];
+    #[cfg(target_arch = "x86_64")]
+    {
+        out.push(("sse2", k.clone().run::<inbox_core::simd::F32x8Sse2>()));
+        if avx2_host() {
+            // SAFETY: the CPU supports AVX2 (checked just above).
+            out.push(("avx2", unsafe { on_avx2(k) }));
+        }
+    }
+    out
+}
+
+/// Asserts every backend's bits equal `want`'s.
+fn assert_backends(k: Kernel<'_>, want: &[f32]) -> Result<(), TestCaseError> {
+    let want: Vec<u32> = want.iter().map(|w| w.to_bits()).collect();
+    for (name, got) in each_backend(k) {
+        prop_assert_eq!(&got, &want, "backend {}", name);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -121,6 +209,7 @@ proptest! {
         let want = striped(&terms);
         let got = l1_row(a, b);
         prop_assert_eq!(got.to_bits(), want.to_bits(), "dim {}: {} vs {}", d, got, want);
+        assert_backends(Kernel::L1(a, b), &[want])?;
         prop_assert_eq!(got.to_bits(), geometry::d_pp(a, b).to_bits());
         prop_assert!(got.is_finite() && got >= 0.0, "dim {}: {}", d, got);
     }
@@ -143,6 +232,7 @@ proptest! {
         let (got_out, got_in) = d_pb_bounds_parts(p, cen, &lo, &hi);
         prop_assert_eq!(got_out.to_bits(), want_out.to_bits(), "dim {} out", d);
         prop_assert_eq!(got_in.to_bits(), want_in.to_bits(), "dim {} inside", d);
+        assert_backends(Kernel::Bounds(p, cen, &lo, &hi), &[want_out, want_in])?;
         prop_assert!(got_out.is_finite() && got_out >= 0.0);
         prop_assert!(got_in.is_finite() && got_in >= 0.0);
     }
@@ -164,6 +254,7 @@ proptest! {
         let (got_out, got_in) = d_pb_box_parts(p, cen, off);
         prop_assert_eq!(got_out.to_bits(), want_out.to_bits(), "dim {} out", d);
         prop_assert_eq!(got_in.to_bits(), want_in.to_bits(), "dim {} inside", d);
+        assert_backends(Kernel::Box(p, cen, off), &[want_out, want_in])?;
         // And the geometry entry points are exactly these parts.
         let b = BoxEmb::new(cen.to_vec(), off.to_vec());
         prop_assert_eq!(geometry::d_pb(p, &b).to_bits(), (got_out + got_in).to_bits());
@@ -198,6 +289,7 @@ proptest! {
         let want = striped(&terms);
         let got = d_pb_row_interleaved(p, cen, off, w);
         prop_assert_eq!(got.to_bits(), want.to_bits(), "dim {}: {} vs {}", d, got, want);
+        assert_backends(Kernel::Interleaved(p, cen, off, w), &[want])?;
         prop_assert!(got.is_finite() && got >= 0.0, "dim {}: {}", d, got);
     }
 
@@ -228,5 +320,105 @@ proptest! {
             d_pb_row_interleaved(p, cen, off, 0.5).to_bits(),
             d_pb_row_interleaved(&pp, &pc, &po, 0.5).to_bits()
         );
+    }
+
+    /// `quantized_d_pb_parts` — the int8 coarse scorer — equals the
+    /// striped replica of `s·(relu(t - hi) + relu(lo - t))` and
+    /// `s·|cen - clamp(t, lo, hi)|` over exactly-converted codes `t`, on
+    /// every backend, with pad lanes (`s = 0`, zero bounds) past `dim`.
+    #[test]
+    fn quantized_parts_are_bit_identical_to_the_striped_replica(
+        d in dim(),
+        codes in prop::collection::vec(-128i32..=127, MAX_DIM),
+        scale in prop::collection::vec(0.0f32..0.02, MAX_DIM),
+        qlo in prop::collection::vec(-140.0f32..140.0, MAX_DIM),
+        width in prop::collection::vec(0.0f32..80.0, MAX_DIM),
+    ) {
+        let stride = d.next_multiple_of(8);
+        let pad = |v: Vec<f32>| {
+            let mut v = v;
+            v.resize(stride, 0.0);
+            v
+        };
+        let q: Vec<i8> = (0..stride).map(|k| if k < d { codes[k] as i8 } else { 0 }).collect();
+        let s = pad(scale[..d].to_vec());
+        let lo = pad(qlo[..d].to_vec());
+        let hi = pad((0..d).map(|k| qlo[k] + width[k]).collect());
+        let cen = pad((0..d).map(|k| qlo[k] + 0.5 * width[k]).collect());
+        let t: Vec<f32> = q.iter().map(|&c| c as f32).collect();
+        let (out_terms, in_terms) = parts_terms(&t, &cen, &lo, &hi);
+        let out_terms: Vec<f32> = out_terms.iter().zip(&s).map(|(o, s)| s * o).collect();
+        let in_terms: Vec<f32> = in_terms.iter().zip(&s).map(|(i, s)| s * i).collect();
+        let want = [striped(&out_terms), striped(&in_terms)];
+        let (got_out, got_in) = quantized_d_pb_parts(&q, &s, &lo, &hi, &cen);
+        prop_assert_eq!([got_out.to_bits(), got_in.to_bits()], [want[0].to_bits(), want[1].to_bits()]);
+        assert_backends(Kernel::Quantized(&q, &s, &lo, &hi, &cen), &want)?;
+    }
+
+    /// `hsum` is the documented pairwise tree on every backend — the AVX2
+    /// halves-first reduction included.
+    #[test]
+    fn hsum_follows_the_tree_on_every_backend(a in prop::collection::vec(lane_value(), 8)) {
+        let b = [a[0] + a[4], a[1] + a[5], a[2] + a[6], a[3] + a[7]];
+        let c = [b[0] + b[2], b[1] + b[3]];
+        assert_backends(Kernel::Hsum(&a), &[c[0] + c[1]])?;
+    }
+}
+
+/// All 256 byte values through `load_i8` on every backend, eight at a
+/// time: each lane is the byte's exact f32 value.
+#[test]
+fn load_i8_converts_every_byte_exactly() {
+    let bytes: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+    assert_eq!(bytes.len(), 256);
+    for chunk in bytes.chunks_exact(8) {
+        let want: Vec<f32> = chunk.iter().map(|&b| b as f32).collect();
+        assert_backends(Kernel::LoadI8(chunk), &want).unwrap();
+    }
+}
+
+/// One quantized row holding all 256 codes, scored against a box that
+/// puts codes outside, inside and on both edges: every backend matches
+/// the striped replica.
+#[test]
+fn quantized_kernel_covers_every_code() {
+    let q: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+    let n = q.len();
+    let s: Vec<f32> = (0..n).map(|k| 0.001 + (k % 13) as f32 * 1e-4).collect();
+    let lo: Vec<f32> = (0..n).map(|k| -40.0 + (k % 7) as f32).collect();
+    let hi: Vec<f32> = lo.iter().map(|l| l + 60.0).collect();
+    let cen: Vec<f32> = lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect();
+    let t: Vec<f32> = q.iter().map(|&c| c as f32).collect();
+    let (out_terms, in_terms) = parts_terms(&t, &cen, &lo, &hi);
+    let out_terms: Vec<f32> = out_terms.iter().zip(&s).map(|(o, s)| s * o).collect();
+    let in_terms: Vec<f32> = in_terms.iter().zip(&s).map(|(i, s)| s * i).collect();
+    let want = [striped(&out_terms), striped(&in_terms)];
+    assert_backends(Kernel::Quantized(&q, &s, &lo, &hi, &cen), &want).unwrap();
+}
+
+/// The backend `dispatch` runs is the one the host and build allow: a
+/// release test run on an AVX2 host cannot silently test only SSE2, and a
+/// `scalar-fallback` build (whichever crate's feature turned it on, seen
+/// through the default lane type) reports `"scalar"`.
+#[test]
+fn backend_matches_the_host() {
+    let want = if std::any::type_name::<F32x8>().ends_with("F32x8Scalar") {
+        "scalar"
+    } else if avx2_host() {
+        "avx2"
+    } else {
+        "sse2"
+    };
+    assert_eq!(backend(), want);
+}
+
+fn avx2_host() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
