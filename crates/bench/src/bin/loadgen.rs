@@ -131,6 +131,11 @@ struct Report {
     audit: AuditReport,
 }
 
+/// Threads currently alive in this process.
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+}
+
 /// One blocking HTTP GET against the embedded server; returns the body.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     use std::io::{Read, Write};
@@ -289,13 +294,44 @@ fn main() {
     // Embedded observability smoke over the same service: the live
     // exposition endpoints must be well-formed under real traffic, and the
     // flight recorder must have retained the HTTP requests' traces.
+    // The recommends come from concurrent clients, and the worker pool
+    // `bind` started serves them all: while they send, the process holds
+    // only those clients beyond its post-bind threads, and once they are
+    // joined it is back to exactly its post-bind count.
     let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loadgen http");
-    for i in 0..8u32 {
-        let _ = http_get(
-            http.local_addr(),
-            &format!("/recommend?user={}&k={k}", i % n_users),
-        );
+    let threads_after_bind = thread_count();
+    const HTTP_CLIENTS: u32 = 4;
+    let sending = std::sync::Barrier::new(HTTP_CLIENTS as usize);
+    std::thread::scope(|s| {
+        for c in 0..HTTP_CLIENTS {
+            let (http, sending) = (&http, &sending);
+            s.spawn(move || {
+                // Every client exists before the first request is sent.
+                sending.wait();
+                for i in 0..2 {
+                    let _ = http_get(
+                        http.local_addr(),
+                        &format!("/recommend?user={}&k={k}", (2 * c + i) % n_users),
+                    );
+                    let now = thread_count();
+                    assert!(
+                        now <= threads_after_bind + HTTP_CLIENTS as usize,
+                        "{now} threads with {HTTP_CLIENTS} clients, {threads_after_bind} after bind: the server started a thread"
+                    );
+                }
+            });
+        }
+    });
+    // A joined thread can linger in /proc/self/task for a moment.
+    let settled = Instant::now() + std::time::Duration::from_secs(1);
+    while thread_count() != threads_after_bind && Instant::now() < settled {
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
+    assert_eq!(
+        thread_count(),
+        threads_after_bind,
+        "HTTP serving changed the thread count from its post-bind value"
+    );
     let metrics_text = http_get(http.local_addr(), "/metrics");
     let metrics_samples = metrics_text
         .lines()

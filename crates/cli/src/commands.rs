@@ -410,9 +410,10 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
         .map_err(|e| format!("cannot bind --addr {addr}: {e}"))?;
     if chatty() {
         println!(
-            "serving {} on http://{} (in-flight cap {}, cache {}, index {}, quantize {})",
+            "serving {} on http://{} ({} http workers, in-flight cap {}, cache {}, index {}, quantize {})",
             ds.name,
             http.local_addr(),
+            http.workers(),
             serve_cfg.queue_cap,
             serve_cfg.cache_cap,
             match service.engine().index_active() {

@@ -1,8 +1,13 @@
 //! Minimal HTTP/1.1 front-end over [`Service`], built only on
 //! `std::net::TcpListener` — no async runtime, no external HTTP crate.
 //!
-//! One thread per connection, `Connection: close` semantics (each request
-//! gets its own connection), query-string parameters. The surface:
+//! [`HttpServer::bind`] starts a fixed pool of workers, one per core with a
+//! floor of 2. Each worker blocks in `accept` on its own clone of the
+//! listener and serves the connection it gets inline, so serving a request
+//! starts no thread, and the per-thread scoring scratch stays warm across
+//! connections. While every worker is busy, new connections wait in the
+//! listen backlog. `Connection: close` semantics (each request gets its own
+//! connection), query-string parameters. The surface:
 //!
 //! | Route                           | Meaning                                |
 //! |---------------------------------|----------------------------------------|
@@ -17,19 +22,26 @@
 //!
 //! Degradation maps onto status codes: admission shedding is `503` with a
 //! JSON error body, unknown ids are `404`, malformed parameters are `400`.
-//! The server never panics a connection thread on bad input.
+//! A client cannot pin a worker: every connection must deliver its request
+//! within [`HttpServer::REQUEST_DEADLINE`] of being accepted, or it gets a
+//! `408` and is counted in `serve.http.timeouts`. A panicking handler drops
+//! its one connection (the client sees EOF); the worker serves on.
 //!
 //! Every connection mints a request trace (`http.request` root) at accept,
 //! subject to the flight recorder's sampling; the parse, admission, engine,
 //! and response-write stages all record spans into its tree, and the
 //! trace finishes with the request's outcome (`Ok`/`Shed`/`Error`, with
-//! slow-but-Ok requests promoted to `Slow` past the configured threshold).
+//! slow-but-Ok requests promoted to `Slow` past the configured threshold)
+//! before the socket closes.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use inbox_kg::{ItemId, UserId};
 
@@ -37,32 +49,47 @@ use crate::engine::Recommendation;
 use crate::error::ServeError;
 use crate::Service;
 
+/// Counter of connections answered `408` because their request did not
+/// arrive within [`HttpServer::REQUEST_DEADLINE`].
+const TIMEOUTS: &str = "serve.http.timeouts";
+
 /// A running HTTP server wrapping a [`Service`].
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Mutex<Option<JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl HttpServer {
+    /// Whole-request budget of one connection, from accept to the last
+    /// byte of its request. Each read waits only for what is left of it,
+    /// and each write for at most this long.
+    pub const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept loop in a background thread.
-    pub fn bind(service: Arc<Service>, addr: &str) -> std::io::Result<Self> {
+    /// worker pool: one worker per available core, at least 2.
+    pub fn bind(service: Arc<Service>, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("inbox-serve-http".into())
-                .spawn(move || accept_loop(&listener, &service, &stop))
-                .expect("spawn http acceptor")
+        let pool_size = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+        let listeners = (0..pool_size)
+            .map(|_| listener.try_clone())
+            .collect::<io::Result<Vec<_>>>()?;
+        // Registered up front so `/metrics` exports it before the first one.
+        inbox_obs::counter(TIMEOUTS);
+        let server = Self {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            workers: Mutex::new(Vec::with_capacity(pool_size)),
         };
-        Ok(Self {
-            addr,
-            stop,
-            acceptor: Mutex::new(Some(acceptor)),
-        })
+        for listener in listeners {
+            let (service, stop) = (Arc::clone(&service), Arc::clone(&server.stop));
+            // On failure, dropping `server` stops the workers already started.
+            let worker = std::thread::Builder::new()
+                .name("inbox-serve-http".into())
+                .spawn(move || worker(&listener, &service, &stop))?;
+            server.lock_workers().push(worker);
+        }
+        Ok(server)
     }
 
     /// The bound address (useful when binding port 0).
@@ -70,18 +97,33 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stops accepting connections and joins the acceptor thread.
-    /// Idempotent; in-flight connection threads finish their one response.
+    /// Number of workers serving connections: fixed by [`HttpServer::bind`],
+    /// 0 after [`HttpServer::shutdown`].
+    pub fn workers(&self) -> usize {
+        self.lock_workers().len()
+    }
+
+    /// Stops accepting connections and joins every worker. Idempotent; a
+    /// worker that is serving a connection finishes its one response first.
     pub fn shutdown(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The acceptor blocks in `accept`; poke it with a throwaway
+        let workers = std::mem::take(&mut *self.lock_workers());
+        // Every worker blocks in `accept`; poke each one with a throwaway
         // connection so it observes the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.lock().unwrap().take() {
-            let _ = acceptor.join();
+        for _ in &workers {
+            let _ = TcpStream::connect(self.addr);
         }
+        for worker in workers {
+            let _ = worker.join();
+        }
+    }
+
+    /// The worker handles. Each change to them is one step, so a poisoned
+    /// lock still guards a valid list (and `Drop` must not panic).
+    fn lock_workers(&self) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
+        self.workers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -91,20 +133,18 @@ impl Drop for HttpServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<AtomicBool>) {
-    for conn in listener.incoming() {
+fn worker(listener: &TcpListener, service: &Service, stop: &AtomicBool) {
+    loop {
+        let conn = listener.accept();
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = conn else { continue };
-        let service = Arc::clone(service);
-        let spawned = std::thread::Builder::new()
-            .name("inbox-serve-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(stream, &service);
-            });
-        // Thread exhaustion is load shedding too: drop the connection.
-        drop(spawned);
+        let Ok((stream, _)) = conn else { continue };
+        // A panicking handler unwinds to here, dropping (closing) its
+        // connection; the worker goes back to `accept`.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            handle_connection(stream, service);
+        }));
     }
 }
 
@@ -132,12 +172,42 @@ const MAX_HEADER_LINES: usize = 128;
 /// Hard ceiling on bytes read from one connection (head + drained body).
 const MAX_REQUEST_BYTES: u64 = 256 * 1024;
 
-/// Reads and parses one request head. `Ok(None)` means the bytes on the
-/// wire are not an acceptable request (no target, oversized line, header
-/// flood) and the caller should answer `400`; `Err` is a genuine socket
-/// failure (including non-UTF-8 bytes surfacing from `read_line`).
-fn parse_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
-    let mut reader = BufReader::new(std::io::Read::by_ref(stream).take(MAX_REQUEST_BYTES));
+/// The socket as one request reads it: each read waits at most for what
+/// is left before `deadline`, and fails with `TimedOut` once it has passed.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Whether a read failed because the connection's deadline passed. An
+/// expired socket timeout surfaces as `WouldBlock` on Unix.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Reads and parses one request head, all of it before `deadline`.
+/// `Ok(None)` means the bytes on the wire are not an acceptable request
+/// (no target, oversized line, header flood) and the caller should answer
+/// `400`; `Err` is a socket failure: the deadline passing (see
+/// [`timed_out`]) or another, such as non-UTF-8 bytes surfacing from
+/// `read_line`.
+fn parse_request(stream: &TcpStream, deadline: Instant) -> io::Result<Option<Request>> {
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline }.take(MAX_REQUEST_BYTES));
     let mut line = String::new();
     reader.read_line(&mut line)?;
     if line.len() > MAX_LINE_BYTES {
@@ -187,10 +257,15 @@ fn parse_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         }
     }
     // Drain any body too (we only use query parameters); cap the read so a
-    // hostile Content-Length cannot pin the thread.
+    // hostile Content-Length cannot pin the worker. A body cut short by the
+    // peer is tolerated; one that outlasts the deadline is not.
     let mut body = vec![0u8; content_length.min(64 * 1024)];
     if !body.is_empty() {
-        let _ = reader.read_exact(&mut body);
+        if let Err(e) = reader.read_exact(&mut body) {
+            if timed_out(&e) {
+                return Err(e);
+            }
+        }
     }
     Ok(Some(request))
 }
@@ -253,18 +328,20 @@ fn json_string(s: &str) -> String {
 }
 
 fn recommendation_body(r: &Recommendation) -> String {
-    let items: Vec<String> = r
-        .items
-        .iter()
-        .map(|(item, score)| format!("{{\"item\":{},\"score\":{score}}}", item.0))
-        .collect();
-    format!(
-        "{{\"user\":{},\"version\":{},\"fallback\":{},\"items\":[{}]}}",
-        r.user.0,
-        r.version,
-        r.fallback,
-        items.join(",")
-    )
+    let mut out = String::with_capacity(64 + 40 * r.items.len());
+    let _ = write!(
+        out,
+        "{{\"user\":{},\"version\":{},\"fallback\":{},\"items\":[",
+        r.user.0, r.version, r.fallback
+    );
+    for (i, (item, score)) in r.items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"item\":{},\"score\":{score}}}", item.0);
+    }
+    out.push_str("]}");
+    out
 }
 
 fn serve_error(stream: &mut TcpStream, trace: Option<&inbox_obs::ActiveTrace>, err: &ServeError) {
@@ -294,33 +371,50 @@ fn value_stat(name: &str) -> String {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, service: &Service) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, service: &Service) {
+    let deadline = Instant::now() + HttpServer::REQUEST_DEADLINE;
+    let _ = stream.set_write_timeout(Some(HttpServer::REQUEST_DEADLINE));
     // One trace per connection == one trace per request (`Connection:
     // close`). `respond` reports the outcome; the flight recorder promotes
-    // slow-but-Ok requests past the configured threshold on `finish`.
+    // slow-but-Ok requests past the configured threshold on `finish`,
+    // which runs before `stream` drops, so a client that reads `/traces`
+    // right after EOF finds this request there.
     let trace = inbox_obs::start_trace("http.request");
-    let outcome = respond(&mut stream, service, trace.as_ref());
+    let outcome = respond(&mut stream, deadline, service, trace.as_ref());
     if let Some(trace) = trace {
         trace.finish(outcome);
     }
-    Ok(())
 }
 
 fn respond(
     stream: &mut TcpStream,
+    deadline: Instant,
     service: &Service,
     trace: Option<&inbox_obs::ActiveTrace>,
 ) -> inbox_obs::TraceOutcome {
     use inbox_obs::TraceOutcome;
-    // Both unacceptable requests (`Ok(None)`) and read errors (e.g.
-    // non-UTF-8 bytes in the request line) get an explicit 400: the server
-    // answers every connection it accepted rather than silently hanging up.
+    // The server answers every connection it accepted rather than silently
+    // hanging up: a request that missed its deadline gets a 408, and both
+    // unacceptable requests (`Ok(None)`) and other read errors (e.g.
+    // non-UTF-8 bytes in the request line) get a 400.
     let request = {
         let _parse_span = trace.map(|t| t.span("http.parse", Some(0)));
-        parse_request(stream)
+        parse_request(stream, deadline)
     };
     let request = match request {
         Ok(Some(request)) => request,
+        Err(e) if timed_out(&e) => {
+            inbox_obs::counter(TIMEOUTS).incr();
+            write_traced(
+                stream,
+                trace,
+                408,
+                "Request Timeout",
+                JSON,
+                &error_body("request not received within the deadline"),
+            );
+            return TraceOutcome::Error;
+        }
         Ok(None) | Err(_) => {
             write_traced(
                 stream,
@@ -492,5 +586,39 @@ fn respond(
             );
             TraceOutcome::Error
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recommendation_body_bytes_are_pinned() {
+        let mut r = Recommendation {
+            user: UserId(7),
+            items: vec![
+                (ItemId(3), -0.5),
+                (ItemId(11), 1.25e-7),
+                (ItemId(0), f32::MIN),
+            ],
+            fallback: false,
+            version: 42,
+        };
+        assert_eq!(
+            recommendation_body(&r),
+            format!(
+                "{{\"user\":7,\"version\":42,\"fallback\":false,\"items\":[\
+                 {{\"item\":3,\"score\":-0.5}},{{\"item\":11,\"score\":0.000000125}},\
+                 {{\"item\":0,\"score\":{}}}]}}",
+                f32::MIN
+            )
+        );
+        r.items.clear();
+        r.fallback = true;
+        assert_eq!(
+            recommendation_body(&r),
+            "{\"user\":7,\"version\":42,\"fallback\":true,\"items\":[]}"
+        );
     }
 }

@@ -14,7 +14,8 @@
 //!   answered on its caller's thread behind an in-flight admission cap;
 //!   arrivals over the cap are shed with [`ServeError::Overloaded`].
 //! - [`HttpServer`]: a std-only HTTP/1.1 front-end (`/health`,
-//!   `/recommend`, `/ingest`, `/stats`).
+//!   `/recommend`, `/ingest`, `/stats`, ...) served by a fixed pool of
+//!   one worker per core.
 //!
 //! Cold users (no history) degrade to the popularity ranking rather than
 //! erroring; every other degraded outcome is an explicit [`ServeError`].
@@ -52,7 +53,9 @@ pub use inbox_index::IndexMode;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Admission bound: requests arriving while this many are already in
-    /// flight are shed with [`ServeError::Overloaded`].
+    /// flight are shed with [`ServeError::Overloaded`]. Over HTTP the
+    /// [`HttpServer`] worker pool already holds requests in flight to one
+    /// per worker; further connections wait in the listen backlog.
     pub queue_cap: usize,
     /// Box cache capacity (entries ≈ users resident at once).
     pub cache_cap: usize,

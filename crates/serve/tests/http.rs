@@ -272,7 +272,7 @@ fn shutdown_is_idempotent_and_joins() {
     http.shutdown();
     http.shutdown();
     service.shutdown();
-    // The port no longer accepts new work once the acceptor is gone; a
+    // The port no longer accepts new work once the workers are gone; a
     // connect may succeed (OS backlog) but no response will come.
     if let Ok(mut s) = TcpStream::connect(http.local_addr()) {
         let _ = s.write_all(b"GET /health HTTP/1.1\r\n\r\n");

@@ -2,17 +2,27 @@
 //! malformed request lines, query strings, and headers, plus raw invalid
 //! bytes and oversized lines. The server must answer **every** accepted
 //! connection with a well-formed status (200/400/404/503), never panic,
-//! and never leak connection threads.
+//! and never start a thread to serve one.
+//!
+//! Every test takes [`serial`] for its whole run: the storm test counts
+//! the process's threads, so no other test may start or stop a server
+//! meanwhile.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use inbox_core::{InBoxConfig, InBoxModel, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_serve::{Engine, HttpServer, ServeConfig, Service};
 use proptest::prelude::*;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn server(seed: u64) -> (Arc<Service>, HttpServer) {
     let ds = Dataset::synthetic(&SyntheticConfig::tiny(), seed);
@@ -72,6 +82,7 @@ proptest! {
         method in "[A-Z!#$%]{0,7}",
         target in "[!-~]{0,30}",
     ) {
+        let _serial = serial();
         let (service, http) = server(61);
         let raw = format!("{method} {target} HTTP/1.1\r\nHost: f\r\nConnection: close\r\n\r\n");
         assert_answered(raw_roundtrip(&http, raw.as_bytes()), raw.as_bytes());
@@ -90,6 +101,7 @@ proptest! {
         k in "[0-9a-z=&-]{0,8}",
         endpoint in 0..2usize,
     ) {
+        let _serial = serial();
         let (service, http) = server(62);
         let (verb, path) = if endpoint == 0 {
             ("GET", format!("/recommend?user={user}&k={k}"))
@@ -110,6 +122,7 @@ proptest! {
         value in "[ -~]{0,24}",
         content_length in "[0-9a-z-]{0,10}",
     ) {
+        let _serial = serial();
         let (service, http) = server(63);
         let raw = format!(
             "GET /health HTTP/1.1\r\n{name}: {value}\r\nContent-Length: {content_length}\r\nConnection: close\r\n\r\n"
@@ -123,6 +136,7 @@ proptest! {
 /// Raw invalid UTF-8 on the wire is a 400, not a panic or a hangup.
 #[test]
 fn invalid_utf8_bytes_get_a_400() {
+    let _serial = serial();
     let (service, http) = server(64);
     for raw in [
         &b"\xff\xfe\xfd\xfc GET /health HTTP/1.1\r\n\r\n"[..],
@@ -139,6 +153,7 @@ fn invalid_utf8_bytes_get_a_400() {
 /// instead of being buffered without bound.
 #[test]
 fn oversized_request_line_is_a_400() {
+    let _serial = serial();
     let (service, http) = server(65);
     let raw = format!(
         "GET /{} HTTP/1.1\r\nConnection: close\r\n\r\n",
@@ -155,18 +170,30 @@ fn oversized_request_line_is_a_400() {
     service.shutdown();
 }
 
-/// A storm of malformed connections must not leak connection threads:
-/// after the storm drains, the process thread count returns to (near) the
-/// pre-storm baseline, and the server still answers.
+/// A storm of malformed connections must not start a single thread: the
+/// pool serves every connection, so the process's thread count never rises
+/// above its value before the storm, checked after every round-trip, and
+/// the server still answers.
 #[test]
 fn fuzz_storm_leaks_no_connection_threads() {
+    let _serial = serial();
     let (service, http) = server(66);
-    // Let the listener settle before taking the baseline.
     assert_eq!(
         raw_roundtrip(&http, b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n"),
         Some(200)
     );
-    let baseline = thread_count();
+    // The test harness starts the next test's thread when the previous
+    // test finishes; wait until the count holds still before taking the
+    // baseline.
+    let mut baseline = thread_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = thread_count();
+        if now == baseline {
+            break;
+        }
+        baseline = now;
+    }
 
     let mut seed = 0x5eedu64;
     for round in 0..120 {
@@ -185,22 +212,11 @@ fn fuzz_storm_leaks_no_connection_threads() {
         };
         let status = raw_roundtrip(&http, &raw);
         assert_answered(status, &raw);
-    }
-
-    // Connection threads are short-lived; poll until the count settles
-    // back to the baseline (with slack for transient runtime threads).
-    const SLACK: usize = 8;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
         let now = thread_count();
-        if now <= baseline + SLACK {
-            break;
-        }
         assert!(
-            Instant::now() < deadline,
-            "thread count stuck at {now} (baseline {baseline}): connection threads leaked"
+            now <= baseline,
+            "round {round}: {now} threads, {baseline} before the storm: serving started a thread"
         );
-        std::thread::sleep(Duration::from_millis(50));
     }
 
     assert_eq!(

@@ -67,7 +67,7 @@ pub const TRACE_SPANS: &[&str] = &[
     "engine.rerank",
     // Cache lookup + lazy rebuild.
     "engine.resolve_box",
-    // Request-head parse on the connection thread.
+    // Request-head parse on the pool worker serving the connection.
     "http.parse",
     // Root span: one per accepted connection.
     "http.request",

@@ -531,3 +531,48 @@ fn torn_response_is_clean_eof_then_recovery() {
     http.shutdown();
     service.shutdown();
 }
+
+/// A handler that panics drops its one connection, never its worker: with
+/// the panic armed for more requests than the pool has workers, every
+/// client sees a clean EOF, and `/health` then answers at once.
+#[test]
+fn handler_panic_drops_the_connection_not_the_worker() {
+    let _serial = serial();
+    let serve_cfg = ServeConfig::default();
+    let (_ds, _cfg, engine) = harness::engine(49, &serve_cfg);
+    let service = Arc::new(Service::start(engine, &serve_cfg));
+    let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let read_timeout = Duration::from_secs(10);
+    let roundtrip = |raw: &str| -> String {
+        let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+        stream.set_read_timeout(Some(read_timeout)).unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    };
+    {
+        let _fp = FailGuard::new("serve.recommend.panic", Trigger::Always);
+        for _ in 0..2 * http.workers() + 1 {
+            let torn = roundtrip("GET /recommend?user=0&k=5 HTTP/1.1\r\nConnection: close\r\n\r\n");
+            assert!(
+                torn.is_empty(),
+                "a panicking handler must close its connection cleanly, got {torn:?}"
+            );
+        }
+    }
+    assert_eq!(service.queued(), 0, "every unwound request freed its slot");
+    let t0 = Instant::now();
+    let healthy = roundtrip("GET /health HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(
+        healthy.starts_with("HTTP/1.1 200"),
+        "the pool must keep serving after handler panics, got {healthy:?}"
+    );
+    assert!(
+        t0.elapsed() < read_timeout / 10,
+        "/health took {:?} after the panics",
+        t0.elapsed()
+    );
+    http.shutdown();
+    service.shutdown();
+}
